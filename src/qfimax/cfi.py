@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -17,19 +17,11 @@ from .operators import (
     PureState,
     QuantumChannel,
     channel_adjoint_apply,
-    channel_apply,
     commutator,
+    hermitian_eig,
     hermitian_part,
-    max_eigvec,
 )
-from .optimizer import (
-    IterationRecord,
-    OptimizationResult,
-    OptimizerConfig,
-    _real_expectation,
-    _run_restarts,
-)
-from .sld import hermitian_eig, is_irreducible
+from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
 
 DEFAULT_EPS_PROB = 1e-12
 
@@ -99,11 +91,15 @@ def classical_fi(stats: OutcomeStatistics, eps_prob: float = DEFAULT_EPS_PROB) -
 def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm,
               eps_prob: float = DEFAULT_EPS_PROB) -> EstimatorCoefficients:
     """Optimal coefficients D(x) = dp(x)/p(x) on the support, 0 elsewhere."""
-    stats = outcome_statistics(rho, h, povm)
+    return _optimal_d_from_stats(outcome_statistics(rho, h, povm), eps_prob)
+
+
+def _optimal_d_from_stats(stats: OutcomeStatistics,
+                          eps_prob: float = DEFAULT_EPS_PROB) -> EstimatorCoefficients:
     values = np.zeros_like(stats.probs)
     on = stats.probs > eps_prob
     values[on] = stats.dprobs[on] / stats.probs[on]
-    return EstimatorCoefficients(values, povm.labels)
+    return EstimatorCoefficients(values, stats.labels)
 
 
 def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
@@ -128,7 +124,7 @@ def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) ->
 def cfi_objective(psi: PureState, d: EstimatorCoefficients, ch: QuantumChannel,
                   h: HermitianOperator, povm: Povm) -> float:
     """<psi| Lambda^dag(-X_2 + 2i[H, X_1]) |psi>."""
-    return _real_expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
+    return real_expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
 
 
 def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: Povm,
@@ -139,23 +135,12 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
     if ch.dim_out != h.dim or povm.dim != h.dim:
         raise ValidationError("generator, POVM and channel output dimensions must match")
 
-    def stepper(psi_n, n):
-        rho_n = channel_apply(ch, psi_n.projector())
+    def update(rho_n, psi_n):
         stats = outcome_statistics(rho_n, h, povm)
-        f_n = classical_fi(stats)
-        d = optimal_d(rho_n, h, povm)
+        d = _optimal_d_from_stats(stats)
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
-        psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
         lam = hermitian_eig(HermitianOperator(rho_n.matrix)).eigenvalues
         rank = int(np.count_nonzero(lam > cfg.eps_rank * max(lam[-1], np.finfo(float).tiny)))
-        record = IterationRecord(
-            n=n,
-            f=f_n,
-            psi=psi_n,
-            degenerate_step=degenerate,
-            sld_rank_deficit=rho_n.dim - rank,
-            irreducible=is_irreducible(rho_n, h, cfg.eps_deg),
-        )
-        return psi_next, record
+        return classical_fi(stats), m, rho_n.dim - rank
 
-    return _run_restarts(ch.dim_in, cfg, stepper)
+    return run_alternating(ch, cfg, update, h)

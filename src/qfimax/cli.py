@@ -67,16 +67,19 @@ def _config_echo(problem: ProblemFile, command: str) -> dict:
 
 
 def _trace_rows(result):
-    return [
-        {
+    rows = []
+    for rec in result.trace:
+        row = {
             "n": int(rec.n),
             "f_n": float(rec.f),
             "degenerate": bool(rec.degenerate_step),
             "rank_deficit": int(rec.sld_rank_deficit),
-            "irreducible": bool(rec.irreducible),
         }
-        for rec in result.trace
-    ]
+        # routes without a generator do not test reducibility
+        if rec.irreducible is not None:
+            row["irreducible"] = bool(rec.irreducible)
+        rows.append(row)
+    return rows
 
 
 def _optimizer_report(command, problem, result):
@@ -180,7 +183,8 @@ def _write_trace_csv(path: str, report: dict) -> None:
         writer.writerow(["n", "f_n", "degenerate", "rank_deficit", "irreducible"])
         for row in report["trace"]:
             writer.writerow([row["n"], repr(row["f_n"]), int(row["degenerate"]),
-                             row["rank_deficit"], int(row["irreducible"])])
+                             row["rank_deficit"],
+                             int(row["irreducible"]) if "irreducible" in row else ""])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +238,12 @@ def main(argv=None) -> int:
         report = dict(report)
         report["trace"] = []
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        print(f"numeric error: report holds a non-finite number ({exc})", file=sys.stderr)
+        return EXIT_NUMERIC
+    print(text)
     return EXIT_OK
 
 

@@ -385,48 +385,49 @@ def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
              eps_norm: float = EPS_NORM):
     """Check all type invariants; return a list of Violation diagnostics.
 
-    Empty list means the object is valid within the given tolerances.
+    Empty list means the object is valid within the given tolerances. A
+    non-finite residual (NaN or infinite entries) counts as a violation.
     """
     out = []
     if isinstance(obj, DensityMatrix):
         m = obj.matrix
         r = max_abs(m - dagger(m))
-        if r > eps_herm:
+        if not r <= eps_herm:
             out.append(Violation("density matrix hermiticity", r))
         r = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
-        if r > eps_trace:
+        if not r <= eps_trace:
             out.append(Violation("density matrix unit trace", r))
         wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
-        if wmin < -eps_psd:
+        if not wmin >= -eps_psd:
             out.append(Violation("density matrix positivity", -wmin))
     elif isinstance(obj, HermitianOperator):
         r = obj.herm_residual()
-        if r > eps_herm:
+        if not r <= eps_herm:
             out.append(Violation("operator hermiticity", r))
     elif isinstance(obj, PureState):
         r = abs(float(np.linalg.norm(obj.amplitudes)) - 1.0)
-        if r > eps_norm:
+        if not r <= eps_norm:
             out.append(Violation("state normalisation", r))
     elif isinstance(obj, QuantumChannel):
         s = np.zeros((obj.dim_in, obj.dim_in), dtype=complex)
         for k in obj.kraus:
             s += dagger(k) @ k
         r = max_abs(s - np.eye(obj.dim_in))
-        if r > eps_tp:
+        if not r <= eps_tp:
             out.append(Violation("channel trace preservation", r))
     elif isinstance(obj, Povm):
         s = np.zeros((obj.dim, obj.dim), dtype=complex)
         for lbl, e in zip(obj.labels, obj.elements):
             s += e
             r = max_abs(e - dagger(e))
-            if r > eps_herm:
+            if not r <= eps_herm:
                 out.append(Violation(f"POVM element '{lbl}' hermiticity", r))
             else:
                 wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(e))))
-                if wmin < -eps_psd:
+                if not wmin >= -eps_psd:
                     out.append(Violation(f"POVM element '{lbl}' positivity", -wmin))
         r = max_abs(s - np.eye(obj.dim))
-        if r > eps_tp:
+        if not r <= eps_tp:
             out.append(Violation("POVM completeness", r))
     elif isinstance(obj, DerivativeChannel):
         if not obj.terms:
@@ -436,11 +437,12 @@ def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
         worst_trace = 0.0
         for e in _hermitian_basis(d):
             y = obj.apply(e)
-            worst_herm = max(worst_herm, max_abs(y - dagger(y)))
-            worst_trace = max(worst_trace, abs(complex(np.trace(y))))
-        if worst_herm > 1e-10:
+            # np.maximum, unlike max, keeps a NaN residual
+            worst_herm = np.maximum(worst_herm, max_abs(y - dagger(y)))
+            worst_trace = np.maximum(worst_trace, abs(complex(np.trace(y))))
+        if not worst_herm <= 1e-10:
             out.append(Violation("derivative channel hermiticity preservation", worst_herm))
-        if worst_trace > 1e-10:
+        if not worst_trace <= 1e-10:
             out.append(Violation("derivative channel trace annihilation", worst_trace))
     else:
         raise TypeError(f"validate: unsupported type {type(obj).__name__}")

@@ -6,13 +6,12 @@ variant -Lambda^dag(X^2) + 2 Lambda'^dag(X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 from .operators import (
-    DensityMatrix,
     DerivativeChannel,
     HermitianOperator,
     PureState,
@@ -43,6 +42,9 @@ class OptimizerConfig:
     initial_state: PureState | None = None
 
     def __post_init__(self):
+        for name in ("tol", "eps_rank", "eps_deg"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.tol <= 0:
             raise ValidationError("tol must be positive")
         if self.max_iters < 1:
@@ -62,7 +64,7 @@ class IterationRecord:
     psi: PureState
     degenerate_step: bool
     sld_rank_deficit: int
-    irreducible: bool
+    irreducible: bool | None  # None when there is no generator to test against
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
     return HermitianOperator(hermitian_part(g))
 
 
-def _real_expectation(psi: PureState, op: HermitianOperator, eps_imag: float = 1e-8) -> float:
+def real_expectation(psi: PureState, op: HermitianOperator, eps_imag: float = 1e-8) -> float:
     v = psi.amplitudes
     val = complex(v.conj() @ op.matrix @ v)
     if abs(val.imag) > eps_imag * max(1.0, abs(val.real)):
@@ -95,7 +97,7 @@ def variational_value(
     psi: PureState, x: HermitianOperator, ch: QuantumChannel, h: HermitianOperator
 ) -> float:
     """F(Lambda(|psi><psi|), X) = <psi| Lambda^dag(G(X)) |psi>."""
-    return _real_expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
+    return real_expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
 
 
 def general_objective(
@@ -107,47 +109,36 @@ def general_objective(
     return HermitianOperator(hermitian_part(out))
 
 
+def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
+                     n: int, h: HermitianOperator | None = None):
+    """One alternating step. update(rho_n, psi_n) returns (f_n, M, rank
+    deficit) for the best argument given the output rho_n, where M is the
+    objective operator that argument defines; the next state is the top
+    eigenvector of M. Reducibility is tested only against a generator h."""
+    rho_n = channel_apply(ch, psi_n.projector())
+    f_n, m, rank_deficit = update(rho_n, psi_n)
+    psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
+    irreducible = None if h is None else is_irreducible(rho_n, h, cfg.eps_deg)
+    return psi_next, IterationRecord(n=n, f=f_n, psi=psi_n, degenerate_step=degenerate,
+                                     sld_rank_deficit=rank_deficit, irreducible=irreducible)
+
+
+def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
+    """Covariant update: the SLD L of the output and M = Lambda^dag(G(L))."""
+
+    def update(rho_n, psi_n):
+        res = sld(rho_n, h, cfg.eps_rank)
+        m = channel_adjoint_apply(ch, objective_g(res.L, h))
+        return qfi_from_sld(rho_n, res), m, res.support_dim_deficit
+
+    return update
+
+
 def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
          cfg: OptimizerConfig, n: int = 0):
-    """One alternating step: SLD of the current output, then the top
-    eigenvector of Lambda^dag(G(L))."""
-    rho_n = channel_apply(ch, psi_n.projector())
-    res = sld(rho_n, h, cfg.eps_rank)
-    f_n = qfi_from_sld(rho_n, res)
-    m = channel_adjoint_apply(ch, objective_g(res.L, h))
-    psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
-    record = IterationRecord(
-        n=n,
-        f=f_n,
-        psi=psi_n,
-        degenerate_step=degenerate,
-        sld_rank_deficit=res.support_dim_deficit,
-        irreducible=is_irreducible(rho_n, h, cfg.eps_deg),
-    )
-    return psi_next, record
-
-
-def _general_step(psi_n, ch, dch, cfg, n=0):
-    sigma_n = psi_n.projector()
-    rho_n = channel_apply(ch, sigma_n)
-    dsigma = dch.apply(sigma_n.matrix)
-    scale = max(1.0, max_abs(dsigma))
-    if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:
-        raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-    rhs = HermitianOperator(hermitian_part(dsigma))
-    res = solve_sld_rhs(rho_n, rhs, cfg.eps_rank)
-    m = general_objective(res.L, ch, dch)
-    f_n = _real_expectation(psi_n, m)
-    psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
-    record = IterationRecord(
-        n=n,
-        f=f_n,
-        psi=psi_n,
-        degenerate_step=degenerate,
-        sld_rank_deficit=res.support_dim_deficit,
-        irreducible=True,  # no generator in the general setup; flag unused
-    )
-    return psi_next, record
+    """One covariant alternating step: SLD of the current output, then the
+    top eigenvector of Lambda^dag(G(L))."""
+    return alternating_step(psi_n, ch, _sld_update(ch, h, cfg), cfg, n, h)
 
 
 def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
@@ -159,15 +150,18 @@ def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
     return haar_state(dim, rng)
 
 
-def _run_restarts(dim: int, cfg: OptimizerConfig, stepper):
+def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
+                    h: HermitianOperator | None = None) -> OptimizationResult:
+    """Restarted alternating iteration of `update` (see alternating_step),
+    each restart run until the objective changes by at most tol."""
     best = None
     restart_values = []
     for r in range(cfg.restarts):
-        psi = _initial_state(dim, cfg, r)
+        psi = _initial_state(ch.dim_in, cfg, r)
         trace = []
         converged = False
         for n in range(cfg.max_iters):
-            psi, rec = stepper(psi, n)
+            psi, rec = alternating_step(psi, ch, update, cfg, n, h)
             trace.append(rec)
             if n > 0 and abs(rec.f - trace[-2].f) <= cfg.tol * max(1.0, abs(rec.f)):
                 converged = True
@@ -182,7 +176,7 @@ def _run_restarts(dim: int, cfg: OptimizerConfig, stepper):
     for label, pred in (
         ("degenerate top eigenvalue", lambda rec: rec.degenerate_step),
         ("rank-deficient SLD", lambda rec: rec.sld_rank_deficit > 0),
-        ("reducible iterate", lambda rec: not rec.irreducible),
+        ("reducible iterate", lambda rec: rec.irreducible is False),
     ):
         hits = [rec.n for rec in trace if pred(rec)]
         if hits:
@@ -204,11 +198,7 @@ def optimize(ch: QuantumChannel, h: HermitianOperator,
     """Maximum quantum Fisher information over input probe states."""
     if ch.dim_out != h.dim:
         raise ValidationError("generator dimension must match channel output dimension")
-
-    def stepper(psi, n):
-        return step(psi, ch, h, cfg, n)
-
-    return _run_restarts(ch.dim_in, cfg, stepper)
+    return run_alternating(ch, cfg, _sld_update(ch, h, cfg), h)
 
 
 def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
@@ -218,7 +208,14 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
 
-    def stepper(psi, n):
-        return _general_step(psi, ch, dch, cfg, n)
+    def update(rho_n, psi_n):
+        dsigma = dch.apply(psi_n.projector().matrix)
+        scale = max(1.0, max_abs(dsigma))
+        if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:
+            raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
+        rhs = HermitianOperator(hermitian_part(dsigma))
+        res = solve_sld_rhs(rho_n, rhs, cfg.eps_rank)
+        m = general_objective(res.L, ch, dch)
+        return real_expectation(psi_n, m), m, res.support_dim_deficit
 
-    return _run_restarts(ch.dim_in, cfg, stepper)
+    return run_alternating(ch, cfg, update)

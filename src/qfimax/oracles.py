@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .operators import (
-    DensityMatrix,
     HermitianOperator,
     Povm,
     PureState,

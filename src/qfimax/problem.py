@@ -10,7 +10,7 @@ a list of such specs denotes composition, applied in order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

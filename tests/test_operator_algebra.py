@@ -259,3 +259,13 @@ class TestValidate:
     def test_haar_state_is_normalised(self):
         psi = haar_state(5, np.random.default_rng(0))
         assert validate(psi) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_violations(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        assert validate(HermitianOperator(m))
+        assert validate(QuantumChannel((m,)))
+        assert validate(Povm((m, I2 - m)))
+        assert validate(PureState(np.array([bad, 1.0])))
+        assert validate(DensityMatrix(m))
+        assert validate(DerivativeChannel(((m, I2),)))

@@ -111,6 +111,32 @@ class TestOptimize:
         with pytest.raises(ValidationError):
             OptimizerConfig(init_mode="user_supplied")
 
+    @pytest.mark.parametrize("field", ["tol", "eps_rank", "eps_deg"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_config_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            OptimizerConfig(**{field: bad})
+
+    def test_trace_is_iterated_step(self):
+        # the engine and the public step must not drift apart: same records, bit for bit
+        rng = np.random.default_rng(11)
+        ch = random_channel(3, rng, n_kraus=2)
+        h = random_hermitian(3, rng)
+        cfg = OptimizerConfig(restarts=1, init_mode="uniform_superposition", max_iters=60)
+        result = optimize(ch, h, cfg)
+        psi = PureState(np.full(3, 1.0 / np.sqrt(3), dtype=complex))
+        assert len(result.trace) > 2
+        for expected in result.trace:
+            psi_next, rec = step(psi, ch, h, cfg, expected.n)
+            assert rec.n == expected.n
+            assert rec.f == expected.f
+            assert np.array_equal(rec.psi.amplitudes, expected.psi.amplitudes)
+            assert rec.degenerate_step == expected.degenerate_step
+            assert rec.sld_rank_deficit == expected.sld_rank_deficit
+            assert rec.irreducible is expected.irreducible
+            psi = psi_next
+        assert np.array_equal(result.psi_star.amplitudes, result.trace[-1].psi.amplitudes)
+
     def test_uniform_superposition_init(self):
         cfg = OptimizerConfig(init_mode="uniform_superposition", restarts=1, seed=0)
         result = optimize(identity_channel(2), H_Z, cfg)
@@ -178,6 +204,13 @@ class TestOptimizeGeneral:
         result = optimize_general(ch, commuting_derivative(ch, H_Z), FAST)
         reference = optimize(ch, H_Z, FAST)
         assert result.f_star == pytest.approx(reference.f_star, abs=1e-7)
+
+    def test_reducibility_not_recorded(self):
+        # no generator to test against: the flag is absent, never a passing placeholder
+        ch = dephasing_channel(0.8)
+        result = optimize_general(ch, commuting_derivative(ch, H_Z), FAST)
+        assert all(rec.irreducible is None for rec in result.trace)
+        assert all(isinstance(rec.irreducible, bool) for rec in optimize(ch, H_Z, FAST).trace)
 
     def test_zero_derivative_channel(self):
         dch = DerivativeChannel(((np.zeros((2, 2)), np.zeros((2, 2))),))

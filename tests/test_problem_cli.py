@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfimax import ValidationError, parse_problem
+from qfimax import cli
 from qfimax.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, run_command
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.problem import emit_problem
@@ -145,6 +146,37 @@ class TestCliExitCodes:
         assert main(["bayes-check", "--problem", str(path)]) == EXIT_NUMERIC
 
 
+    @pytest.mark.parametrize("where", ["nan-generator", "infinity-kraus", "1e999-generator"])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, where):
+        doc = json.loads((PROBLEMS / "dephasing_08.json").read_text())
+        if where == "nan-generator":
+            doc["generator"][0][1][0] = float("nan")
+            text = json.dumps(doc)
+        elif where == "infinity-kraus":
+            doc["channel"] = {"kraus": [[[[float("inf"), 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [1.0, 0.0]]]]}
+            text = json.dumps(doc)
+        else:
+            doc["generator"][0][0][0] = "HUGE"
+            text = json.dumps(doc).replace('"HUGE"', "1e999")
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        assert main(["qfi-max", "--problem", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error:" in out.err
+
+    def test_non_finite_report_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "p.json"
+        path.write_text(MINIMAL)
+        monkeypatch.setattr(cli, "run_command",
+                            lambda command, problem: {"f_star": float("nan"), "trace": []})
+        assert main(["qfi-max", "--problem", str(path)]) == EXIT_NUMERIC
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "non-finite" in out.err
+
+
 class TestCliBehavior:
     def test_flag_overrides_file_seed(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -175,6 +207,32 @@ class TestCliBehavior:
         assert lines[0] == "n,f_n,degenerate,rank_deficit,irreducible"
         report = json.loads(capsys.readouterr().out)
         assert len(lines) - 1 == len(report["trace"])
+
+    def test_reducibility_only_on_generator_routes(self, tmp_path, capsys):
+        # |0> is an eigenvector of H, so the covariant iterate is reducible
+        path = tmp_path / "p.json"
+        path.write_text(problem_text(
+            input_state=[[1.0, 0.0], [0.0, 0.0]],
+            povm={"preset": "sigma_y"},
+            derivative_channel={"commuting": True},
+            optimizer={"init_mode": "user_supplied", "restarts": 1},
+        ))
+        reports = {}
+        for cmd in ("qfi-max", "cfi-max", "qfi-max-general"):
+            csv_path = tmp_path / f"{cmd}.csv"
+            assert main([cmd, "--problem", str(path), "--trace-csv", str(csv_path)]) == EXIT_OK
+            reports[cmd] = (json.loads(capsys.readouterr().out),
+                            csv_path.read_text().strip().splitlines()[1:])
+        for cmd in ("qfi-max", "cfi-max"):
+            report, rows = reports[cmd]
+            assert all(row["irreducible"] is False for row in report["trace"])
+            assert any("reducible iterate" in w for w in report["warnings"])
+            assert all(row.endswith(",0") for row in rows)
+        report, rows = reports["qfi-max-general"]
+        assert report["trace"]
+        assert all("irreducible" not in row for row in report["trace"])
+        assert not any("reducible iterate" in w for w in report["warnings"])
+        assert rows and all(row.endswith(",") for row in rows)
 
     def test_quiet_omits_trace(self, tmp_path, capsys):
         path = tmp_path / "p.json"
