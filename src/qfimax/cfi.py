@@ -18,7 +18,6 @@ from .operators import (
     QuantumChannel,
     channel_adjoint_apply,
     commutator,
-    hermitian_eig,
     hermitian_part,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
@@ -139,7 +138,7 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
         stats = outcome_statistics(rho_n, h, povm)
         d = _optimal_d_from_stats(stats)
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
-        lam = hermitian_eig(HermitianOperator(rho_n.matrix)).eigenvalues
+        lam = np.linalg.eigvalsh(rho_n.matrix)
         rank = int(np.count_nonzero(lam > cfg.eps_rank * max(lam[-1], np.finfo(float).tiny)))
         return classical_fi(stats), m, rho_n.dim - rank
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -45,6 +46,12 @@ def _require(problem: ProblemFile, command: str, **needs):
             raise ValidationError(f"command '{command}' requires a '{name}' section in the problem file")
 
 
+def problem_sha256(problem: ProblemFile) -> str:
+    """Hex SHA-256 of the problem text as parsed (UTF-8 if given as str)."""
+    text = problem.text
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
 def _config_echo(problem: ProblemFile, command: str) -> dict:
     cfg = problem.optimizer
     echo = {
@@ -59,7 +66,7 @@ def _config_echo(problem: ProblemFile, command: str) -> dict:
             "seed": cfg.seed,
             "init_mode": cfg.init_mode,
         },
-        "problem": problem.source,
+        "problem_sha256": problem_sha256(problem),
     }
     if problem.bayes is not None:
         echo["bayes"] = dataclasses.asdict(problem.bayes)
@@ -131,7 +138,7 @@ def run_command(command: str, problem: ProblemFile) -> dict:
                                        problem.povm, problem.optimizer))
     if command == "sld":
         _require(problem, command, input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state.projector())
+        rho = channel_apply(problem.channel, problem.input_state)
         res = sld(rho, problem.generator, problem.optimizer.eps_rank)
         value = qfi(rho, problem.generator, problem.optimizer.eps_rank)
         details = {
@@ -143,13 +150,13 @@ def run_command(command: str, problem: ProblemFile) -> dict:
         return _value_report(command, problem, value, problem.input_state, details)
     if command == "qfi-eval":
         _require(problem, command, input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state.projector())
+        rho = channel_apply(problem.channel, problem.input_state)
         value = qfi(rho, problem.generator, problem.optimizer.eps_rank)
         return _value_report(command, problem, value, problem.input_state)
     if command == "cfi-eval":
         _require(problem, command, povm=problem.povm is not None,
                  input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state.projector())
+        rho = channel_apply(problem.channel, problem.input_state)
         stats = outcome_statistics(rho, problem.generator, problem.povm)
         return _value_report(command, problem, classical_fi(stats), problem.input_state,
                              {"probs": list(stats.probs), "dprobs": list(stats.dprobs),
@@ -158,7 +165,7 @@ def run_command(command: str, problem: ProblemFile) -> dict:
         _require(problem, command, povm=problem.povm is not None,
                  input_state=problem.input_state is not None)
         bayes = problem.bayes or BayesSpec()
-        rho = channel_apply(problem.channel, problem.input_state.projector())
+        rho = channel_apply(problem.channel, problem.input_state)
         stats = outcome_statistics(rho, problem.generator, problem.povm)
         direct = classical_fi(stats)
         sweep = {}
@@ -209,13 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.problem) as fh:
-            text = fh.read()
+        # bytes, so that the echoed digest is that of the file itself
+        with open(args.problem, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"error: cannot read problem file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        problem = parse_problem(text)
+        problem = parse_problem(data)
         # precedence: flag > file > default
         overrides = {}
         for name, value in (("seed", args.seed), ("restarts", args.restarts),

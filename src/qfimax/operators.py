@@ -13,7 +13,8 @@ so that deliberately broken objects can be diagnosed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class HermitianOperator:
     def herm_residual(self) -> float:
         return max_abs(self.matrix - dagger(self.matrix))
 
+    @cached_property
+    def eig(self) -> "EigenDecomposition":
+        """hermitian_eig of this operator, computed on first use and kept
+        (the operator is immutable)."""
+        return hermitian_eig(self)
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -111,36 +118,46 @@ class PureState:
         return DensityMatrix(np.outer(v, v.conj()))
 
 
+def _frozen_stack(stack, mats, msg: str) -> np.ndarray:
+    """Read-only complex copy of `stack`, a (nested) sequence of the
+    matrices `mats`, after checking that they are matrices of one shape."""
+    shape = np.shape(mats[0])
+    if len(shape) != 2 or any(np.shape(m) != shape for m in mats):
+        raise ValidationError(msg)
+    out = np.array(stack, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
     """Completely positive trace-preserving map in Kraus form.
 
-    Kraus operators are dim_out x dim_in; trace preservation
-    (sum_k K_k^dag K_k = 1) is checked by :func:`validate`.
+    Kraus operators are dim_out x dim_in and are stored once, as the
+    read-only (r, dim_out, dim_in) array `stack`; `kraus` is a tuple of
+    views into it. Trace preservation (sum_k K_k^dag K_k = 1) is checked
+    by :func:`validate`.
     """
 
     kraus: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ks = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not ks:
+        if not len(self.kraus):
             raise ValidationError("channel needs at least one Kraus operator")
-        shape = ks[0].shape
-        if len(shape) != 2:
+        if np.ndim(self.kraus[0]) != 2:
             raise ValidationError("Kraus operators must be matrices")
-        for k in ks:
-            if k.shape != shape:
-                raise ValidationError("all Kraus operators must share one shape")
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ks)
+        stack = _frozen_stack(self.kraus, self.kraus, "all Kraus operators must share one shape")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.stack.shape[1]
 
 
 @dataclass(frozen=True)
@@ -149,41 +166,49 @@ class DerivativeChannel:
 
     Represents the parameter derivative of a trace-preserving channel
     family, supplied as an explicit pair list (no automatic
-    differentiation; see :func:`finite_difference_derivative`).
+    differentiation; see :func:`finite_difference_derivative`). The pairs
+    are stored once, as the read-only (2, r, dim_out, dim_in) array
+    `stack` (stack[0] holds the A_k, stack[1] the B_k); `terms` is a tuple
+    of (A_k, B_k) views into it.
     """
 
     terms: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ts = []
-        for pair in self.terms:
-            a, b = pair
-            a = np.array(a, dtype=complex)
-            b = np.array(b, dtype=complex)
-            if a.shape != b.shape or a.ndim != 2:
-                raise ValidationError("derivative terms must be matrix pairs of equal shape")
-            a.setflags(write=False)
-            b.setflags(write=False)
-            ts.append((a, b))
-        object.__setattr__(self, "terms", tuple(ts))
+        msg = "derivative terms must be matrix pairs of equal shape"
+        pairs = [tuple(pair) for pair in self.terms]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValidationError(msg)
+        if pairs:
+            stack = _frozen_stack(tuple(zip(*pairs)), [m for pair in pairs for m in pair], msg)
+        else:
+            stack = np.zeros((2, 0, 0, 0), dtype=complex)
+            stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "terms", tuple(zip(stack[0], stack[1])))
 
     @property
     def dim_in(self) -> int:
         if not self.terms:
             raise ValidationError("empty derivative channel has no dimension")
-        return self.terms[0][0].shape[1]
+        return self.stack.shape[3]
 
     @property
     def dim_out(self) -> int:
         if not self.terms:
             raise ValidationError("empty derivative channel has no dimension")
-        return self.terms[0][0].shape[0]
+        return self.stack.shape[2]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex) if self.terms else None
-        for a, b in self.terms:
-            out += a @ rho @ dagger(b)
-        return out
+    def apply(self, rho: np.ndarray | PureState) -> np.ndarray | None:
+        """sum_k A_k rho B_k^dag for a matrix rho, or for |psi><psi| given
+        the PureState psi; None for an empty pair list."""
+        if not self.terms:
+            return None
+        a, b = self.stack
+        if isinstance(rho, PureState):
+            return _stack_times(a, rho.amplitudes).T @ _stack_times(b, rho.amplitudes).conj()
+        return _sandwich(a, rho, b)
 
 
 @dataclass(frozen=True)
@@ -251,6 +276,13 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] for Hermitian a and b, from one product: ab - (ab)^dag,
+    which is exactly anti-Hermitian."""
+    ab = a @ b
+    return ab - dagger(ab)
+
+
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """{a, b} = ab + ba."""
     a, b = np.asarray(a), np.asarray(b)
@@ -259,13 +291,47 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def channel_apply(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Schroedinger-picture action sum_k K rho K^dag."""
+def _stack_times(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K_k x for every matrix K_k of an (r, m, n) stack, as one product
+    with the stack flattened to (r*m, n); shape (r, m) + x.shape[1:]."""
+    r, m, n = stack.shape
+    return (stack.reshape(r * m, n) @ x).reshape((r, m) + x.shape[1:])
+
+
+def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k A_k x B_k^dag for (r, m, n) stacks a and b."""
+    return np.tensordot(_stack_times(a, x), b.conj(), axes=([0, 2], [0, 2]))
+
+
+def _adjoint_sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(sum_k A_k^dag x B_k)^dag = sum_k B_k^dag x^dag A_k for (r, m, n)
+    stacks a and b: one batched product x B_k and one product with the
+    flattened A stack, without a conjugated copy of either stack."""
+    r, m, n = a.shape
+    y = np.matmul(x, b)
+    return np.conj(y, out=y).reshape(r * m, n).T @ a.reshape(r * m, n)
+
+
+def _kraus_gram(stack: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag K_k for an (r, m, n) stack, as one real product of the
+    flattened stack's (re, im) view with itself: no conjugated copy."""
+    n = stack.shape[2]
+    x = stack.reshape(-1, n).view(float)  # columns re K[:, 0], im K[:, 0], re K[:, 1], ...
+    p = (x.T @ x).reshape(n, 2, n, 2)
+    return (p[:, 0, :, 0] + p[:, 1, :, 1]) + 1j * (p[:, 0, :, 1] - p[:, 1, :, 0])
+
+
+def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
+    """Schroedinger-picture action sum_k K rho K^dag of a DensityMatrix
+    rho, or of |psi><psi| given the PureState psi, which is computed as
+    W W^dag with the columns of W the vectors K_k psi."""
     if ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho.matrix @ dagger(k)
+    if isinstance(rho, PureState):
+        w = _stack_times(ch.stack, rho.amplitudes)
+        out = w.T @ w.conj()
+    else:
+        out = _sandwich(ch.stack, rho.matrix, ch.stack)
     return DensityMatrix(hermitian_part(out))
 
 
@@ -273,10 +339,8 @@ def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> Hermitian
     """Heisenberg-picture action sum_k K^dag A K."""
     if ch.dim_out != a.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {a.dim}")
-    out = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
-    for k in ch.kraus:
-        out += dagger(k) @ a.matrix @ k
-    return HermitianOperator(hermitian_part(out))
+    # the Hermitian part of the dagger is the Hermitian part of the sum
+    return HermitianOperator(hermitian_part(_adjoint_sandwich(ch.stack, a.matrix, ch.stack)))
 
 
 def derivative_adjoint_apply(
@@ -293,9 +357,8 @@ def derivative_adjoint_apply(
         raise DimensionMismatch(
             f"derivative adjoint expects dim {dch.dim_out}, operator has dim {a.dim}"
         )
-    out = np.zeros((dch.dim_in, dch.dim_in), dtype=complex)
-    for ak, bk in dch.terms:
-        out += dagger(ak) @ a.matrix @ bk
+    # the dagger of the sum has the same asymmetry and Hermitian part
+    out = _adjoint_sandwich(dch.stack[0], a.matrix, dch.stack[1])
     scale = max(1.0, max_abs(out))
     asym = max_abs(out - dagger(out)) / scale
     if asym > eps_herm:
@@ -310,13 +373,13 @@ def hermitian_eig(a: HermitianOperator, eps_herm: float = EPS_HERM) -> EigenDeco
     if a.herm_residual() > eps_herm * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     w, v = np.linalg.eigh(a.matrix)
-    v = v.copy()
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        if abs(pivot) > 0:
-            v[:, j] *= pivot.conjugate() / abs(pivot)
-    return EigenDecomposition(w, v)
+    # argmax returns the lowest index among tied magnitudes
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
+    size = np.hypot(pivot.real, pivot.imag)
+    phase = np.ones_like(pivot)
+    np.divide(pivot.conj(), size, out=phase, where=size > 0)
+    return EigenDecomposition(w, v * phase)
 
 
 def max_eigvec(a: HermitianOperator, eps_deg: float = 1e-9):
@@ -380,6 +443,20 @@ def _hermitian_basis(dim: int):
             yield e
 
 
+def density_violations(m: np.ndarray, eps_herm: float = EPS_HERM,
+                       eps_trace: float = EPS_TRACE) -> list:
+    """The hermiticity and unit-trace violations of a density matrix m;
+    positivity, which needs its eigenvalues, is left to the caller."""
+    out = []
+    r = max_abs(m - dagger(m))
+    if not r <= eps_herm:
+        out.append(Violation("density matrix hermiticity", r))
+    r = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
+    if not r <= eps_trace:
+        out.append(Violation("density matrix unit trace", r))
+    return out
+
+
 def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
              eps_tp: float = EPS_TP, eps_trace: float = EPS_TRACE,
              eps_norm: float = EPS_NORM):
@@ -391,12 +468,7 @@ def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
     out = []
     if isinstance(obj, DensityMatrix):
         m = obj.matrix
-        r = max_abs(m - dagger(m))
-        if not r <= eps_herm:
-            out.append(Violation("density matrix hermiticity", r))
-        r = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
-        if not r <= eps_trace:
-            out.append(Violation("density matrix unit trace", r))
+        out = density_violations(m, eps_herm, eps_trace)
         wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
         if not wmin >= -eps_psd:
             out.append(Violation("density matrix positivity", -wmin))
@@ -409,10 +481,7 @@ def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
         if not r <= eps_norm:
             out.append(Violation("state normalisation", r))
     elif isinstance(obj, QuantumChannel):
-        s = np.zeros((obj.dim_in, obj.dim_in), dtype=complex)
-        for k in obj.kraus:
-            s += dagger(k) @ k
-        r = max_abs(s - np.eye(obj.dim_in))
+        r = max_abs(_kraus_gram(obj.stack) - np.eye(obj.dim_in))
         if not r <= eps_tp:
             out.append(Violation("channel trace preservation", r))
     elif isinstance(obj, Povm):
@@ -451,7 +520,10 @@ def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
 
 def require_valid(obj, what: str = "", **tol):
     """Raise ValidationError listing all violations, if any."""
-    violations = validate(obj, **tol)
+    raise_violations(validate(obj, **tol), what or type(obj).__name__)
+
+
+def raise_violations(violations: list, label: str) -> None:
+    """Raise ValidationError listing the violations of `label`, if any."""
     if violations:
-        label = what or type(obj).__name__
         raise ValidationError(f"invalid {label}: " + "; ".join(str(v) for v in violations))

@@ -18,9 +18,9 @@ from .operators import (
     QuantumChannel,
     channel_adjoint_apply,
     channel_apply,
-    commutator,
     derivative_adjoint_apply,
     haar_state,
+    hermitian_commutator,
     hermitian_part,
     max_abs,
     max_eigvec,
@@ -81,7 +81,7 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
     """G(X) = -X^2 + 2i[H, X]; Hermitian for Hermitian H, X."""
     if x.dim != h.dim:
         raise ValidationError(f"dimension mismatch: X {x.dim}, H {h.dim}")
-    g = -(x.matrix @ x.matrix) + 2j * commutator(h.matrix, x.matrix)
+    g = -(x.matrix @ x.matrix) + 2j * hermitian_commutator(h.matrix, x.matrix)
     return HermitianOperator(hermitian_part(g))
 
 
@@ -115,7 +115,7 @@ def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: Optimize
     deficit) for the best argument given the output rho_n, where M is the
     objective operator that argument defines; the next state is the top
     eigenvector of M. Reducibility is tested only against a generator h."""
-    rho_n = channel_apply(ch, psi_n.projector())
+    rho_n = channel_apply(ch, psi_n)
     f_n, m, rank_deficit = update(rho_n, psi_n)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
     irreducible = None if h is None else is_irreducible(rho_n, h, cfg.eps_deg)
@@ -209,7 +209,7 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
         raise ValidationError("derivative channel dimensions must match the channel")
 
     def update(rho_n, psi_n):
-        dsigma = dch.apply(psi_n.projector().matrix)
+        dsigma = dch.apply(psi_n)
         scale = max(1.0, max_abs(dsigma))
         if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:
             raise NumericError("derivative channel output is not Hermitian on a Hermitian input")

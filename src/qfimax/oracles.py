@@ -22,7 +22,6 @@ from .operators import (
     channel_apply,
     dagger,
     haar_state,
-    hermitian_eig,
 )
 from .sld import qfi
 
@@ -100,7 +99,7 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
 
     def consider(psi):
         nonlocal best_val, best_psi
-        val = qfi(channel_apply(ch, psi.projector()), h)
+        val = qfi(channel_apply(ch, psi), h)
         if val > best_val:
             best_val, best_psi = val, psi
 
@@ -117,9 +116,8 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
 def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
                        povm: Povm, phis) -> DiscreteModel:
     """Tabulate p_phi(x) = Tr{Pi_x e^{-i phi H} Lambda(|psi><psi|) e^{i phi H}}."""
-    rho = channel_apply(ch, psi.projector()).matrix
-    eig = hermitian_eig(h)
-    lam, v = eig.eigenvalues, eig.eigenvectors
+    rho = channel_apply(ch, psi).matrix
+    lam, v = h.eig.eigenvalues, h.eig.eigenvectors
     rho_eig = dagger(v) @ rho @ v
     els_eig = [dagger(v) @ e @ v for e in povm.elements]
     phis = np.asarray(phis, dtype=float)

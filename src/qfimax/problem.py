@@ -64,7 +64,7 @@ class ProblemFile:
     input_state: PureState | None
     optimizer: OptimizerConfig
     bayes: BayesSpec | None
-    source: dict  # raw (validated) document, for config echo and emission
+    text: str | bytes  # as given to parse_problem; reports echo its SHA-256
 
 
 def decode_complex(pair, what="complex entry"):
@@ -82,13 +82,20 @@ def decode_matrix(rows, what="matrix"):
     m = np.array([[decode_complex(c, what) for c in row] for row in rows])
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what}: expected a square matrix, got shape {m.shape}")
-    return m
+    return _require_finite(m, what)
 
 
 def decode_vector(entries, what="vector"):
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{what}: expected a non-empty array")
-    return np.array([decode_complex(c, what) for c in entries])
+    return _require_finite(np.array([decode_complex(c, what) for c in entries]), what)
+
+
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    # before any arithmetic, so that NaN or infinite input raises no numpy warning
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what}: entries must be finite numbers")
+    return a
 
 
 def encode_complex(z) -> list:
@@ -222,12 +229,15 @@ def decode_optimizer(spec, input_state) -> OptimizerConfig:
     return OptimizerConfig(**kwargs)
 
 
-def parse_problem(text: str) -> ProblemFile:
-    """Parse and fully validate a problem document."""
+def parse_problem(text: str | bytes) -> ProblemFile:
+    """Parse and fully validate a problem document, given as text or as the
+    bytes of a file (UTF-8, or UTF-16/32 as JSON allows)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"problem text is not valid Unicode: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("problem document must be a JSON object")
     known = {"dim", "generator", "channel", "povm", "derivative_channel",
@@ -277,7 +287,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     optimizer = decode_optimizer(doc.get("optimizer", {}), input_state)
     bayes = decode_bayes(doc["bayes"]) if "bayes" in doc else None
-    return ProblemFile(dim, generator, channel, povm, dch, input_state, optimizer, bayes, doc)
+    return ProblemFile(dim, generator, channel, povm, dch, input_state, optimizer, bayes, text)
 
 
 def emit_problem(pf: ProblemFile) -> str:

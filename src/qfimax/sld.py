@@ -13,13 +13,16 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
+    EPS_PSD,
     DensityMatrix,
     HermitianOperator,
-    commutator,
+    Violation,
     dagger,
+    density_violations,
+    hermitian_commutator,
     hermitian_eig,
     hermitian_part,
-    require_valid,
+    raise_violations,
 )
 
 
@@ -43,13 +46,16 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
     """Solve (1/2){X, rho} = R for Hermitian X in rho's eigenbasis.
 
     Matrix elements with eigenvalue sums below eps_rank * lambda_max are
-    in the numerical null-null block and are set to zero.
+    in the numerical null-null block and are set to zero. rho is checked
+    as a density matrix, its positivity on the eigenvalues found here.
     """
-    require_valid(rho, "density matrix")
+    raise_violations(density_violations(rho.matrix), "density matrix")
     if rho.dim != r.dim:
         raise ValidationError(f"dimension mismatch: rho {rho.dim}, rhs {r.dim}")
     eig = hermitian_eig(HermitianOperator(rho.matrix))
     lam, v = eig.eigenvalues, eig.eigenvectors
+    if not lam[0] >= -EPS_PSD:
+        raise_violations([Violation("density matrix positivity", -float(lam[0]))], "density matrix")
     lam_max = float(lam[-1])
     if lam_max <= 0.0:
         raise ValidationError("density matrix has no positive eigenvalue")
@@ -57,10 +63,9 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
     r_eig = dagger(v) @ r.matrix @ v
     denom = lam[:, None] + lam[None, :]
     solvable = denom > eps_rank * lam_max
-    x_eig = np.zeros_like(r_eig)
-    x_eig[solvable] = 2.0 * r_eig[solvable] / denom[solvable]
+    x_eig = np.where(solvable, 2.0 * r_eig / np.where(solvable, denom, 1.0), 0.0)
 
-    residual = float(np.linalg.norm((0.5 * denom * x_eig - r_eig)[solvable]))
+    residual = float(np.linalg.norm(np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0)))
     rank = int(np.count_nonzero(lam > eps_rank * lam_max))
     x = hermitian_part(v @ x_eig @ dagger(v))
     return SldResult(HermitianOperator(x), rank, rho.dim - rank, residual)
@@ -68,7 +73,7 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
 
 def sld(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}."""
-    rhs = HermitianOperator(hermitian_part(-1j * commutator(h.matrix, rho.matrix)))
+    rhs = HermitianOperator(-1j * hermitian_commutator(h.matrix, rho.matrix))
     return solve_sld_rhs(rho, rhs, eps_rank)
 
 
@@ -79,7 +84,8 @@ def qfi(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> fl
 
 def qfi_from_sld(rho: DensityMatrix, res: SldResult) -> float:
     l = res.L.matrix
-    value = float(np.real(np.trace(rho.matrix @ l @ l)))
+    # Tr{rho L L} = sum_ij conj(L_ij) (rho L)_ij for Hermitian L
+    value = float(np.real(np.vdot(l, rho.matrix @ l)))
     return max(value, 0.0)
 
 
@@ -90,33 +96,26 @@ def is_irreducible(rho: DensityMatrix, h: HermitianOperator, eps: float = 1e-9) 
     eigenspace; eigenspaces are connected when rho has a matrix element
     of magnitude above eps between them. Reducibility means rho and H
     share a proper invariant subspace built from H eigenspaces, which can
-    trap the alternating iteration inside one block.
+    trap the alternating iteration inside one block. H's eigenbasis is
+    computed once per generator (HermitianOperator.eig).
     """
-    eig = hermitian_eig(h)
-    lam, v = eig.eigenvalues, eig.eigenvectors
-    dim = h.dim
-    # cluster ascending eigenvalues into degenerate groups
-    group = np.zeros(dim, dtype=int)
-    for j in range(1, dim):
-        group[j] = group[j - 1] + (1 if lam[j] - lam[j - 1] > eps else 0)
+    lam, v = h.eig.eigenvalues, h.eig.eigenvectors
+    # ascending eigenvalues closer than eps to their neighbour share a group
+    group = np.concatenate(([0], np.cumsum(np.diff(lam) > eps)))
     n_groups = int(group[-1]) + 1
     if n_groups == 1:
         return True
 
     rho_eig = dagger(v) @ rho.matrix @ v
-    parent = list(range(n_groups))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            if group[j] != group[k] and abs(rho_eig[j, k]) > eps:
-                ra, rb = find(group[j]), find(group[k])
-                if ra != rb:
-                    parent[rb] = ra
-    roots = {find(g) for g in range(n_groups)}
-    return len(roots) == 1
+    coupled = np.triu(np.abs(rho_eig) > eps, 1)
+    member = np.zeros((h.dim, n_groups))
+    member[np.arange(h.dim), group] = 1.0
+    # groups x groups: True where some element of rho joins the two groups
+    linked = member.T @ (coupled | coupled.T) @ member > 0
+    reached = np.zeros(n_groups, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | linked[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfimax import (
+    ValidationError,
     DensityMatrix,
     DerivativeChannel,
     DimensionMismatch,
@@ -269,3 +270,140 @@ class TestValidate:
         assert validate(PureState(np.array([bad, 1.0])))
         assert validate(DensityMatrix(m))
         assert validate(DerivativeChannel(((m, I2),)))
+
+
+# ---------------------------------------------------------------------------
+# stack-based maps against per-operator loops
+
+SHAPES = [(3, 5, 1), (5, 3, 1), (4, 4, 2), (3, 5, 7), (5, 3, 9)]  # (d_out, d_in, r)
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _loop_sandwich(a_list, x, b_list):
+    return sum(a @ x @ b.conj().T for a, b in zip(a_list, b_list))
+
+
+def _loop_adjoint_sandwich(a_list, x, b_list):
+    return sum(a.conj().T @ x @ b for a, b in zip(a_list, b_list))
+
+
+def _hermitian_matrix(rng, d):
+    g = _gaussian(rng, d, d)
+    return 0.5 * (g + g.conj().T)
+
+
+class TestStackedMaps:
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
+    def test_channel_maps_match_loops(self, d_out, d_in, r):
+        rng = np.random.default_rng(100 * d_out + 10 * d_in + r)
+        kraus = [_gaussian(rng, d_out, d_in) for _ in range(r)]
+        ch = QuantumChannel(tuple(kraus))
+        rho = random_density(d_in, rng)
+        a = _hermitian_matrix(rng, d_out)
+        got = channel_apply(ch, rho).matrix
+        want = _loop_sandwich(kraus, rho.matrix, kraus)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        got = channel_adjoint_apply(ch, HermitianOperator(a)).matrix
+        want = _loop_adjoint_sandwich(kraus, a, kraus)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
+    def test_pure_input_matches_projector(self, d_out, d_in, r):
+        rng = np.random.default_rng(7 + r)
+        ch = QuantumChannel(tuple(_gaussian(rng, d_out, d_in) for _ in range(r)))
+        psi = haar_state(d_in, rng)
+        got = channel_apply(ch, psi).matrix
+        want = channel_apply(ch, psi.projector()).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
+    def test_duality(self, d_out, d_in, r):
+        # Tr[Lambda(rho) A] = Tr[rho Lambda^dag(A)]
+        rng = np.random.default_rng(31 * r + d_out)
+        ch = QuantumChannel(tuple(_gaussian(rng, d_out, d_in) for _ in range(r)))
+        rho = random_density(d_in, rng)
+        a = HermitianOperator(_hermitian_matrix(rng, d_out))
+        lhs = np.trace(channel_apply(ch, rho).matrix @ a.matrix)
+        rhs = np.trace(rho.matrix @ channel_adjoint_apply(ch, a).matrix)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
+    def test_derivative_maps_match_loops(self, d_out, d_in, r):
+        rng = np.random.default_rng(200 + r)
+        a_list = [_gaussian(rng, d_out, d_in) for _ in range(r)]
+        b_list = [_gaussian(rng, d_out, d_in) for _ in range(r)]
+        # pairs (A, B) and (B, A): a Hermiticity-preserving map
+        dch = DerivativeChannel(tuple(zip(a_list + b_list, b_list + a_list)))
+        x = _gaussian(rng, d_in, d_in)
+        want = _loop_sandwich(a_list + b_list, x, b_list + a_list)
+        np.testing.assert_allclose(dch.apply(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        psi = haar_state(d_in, rng)
+        want = dch.apply(psi.projector().matrix)
+        np.testing.assert_allclose(dch.apply(psi), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        a = _hermitian_matrix(rng, d_out)
+        want = _loop_adjoint_sandwich(a_list + b_list, a, b_list + a_list)
+        got = derivative_adjoint_apply(dch, HermitianOperator(a)).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
+    def test_trace_preservation_residual_matches_loop(self, d_out, d_in, r):
+        rng = np.random.default_rng(300 + r)
+        kraus = [_gaussian(rng, d_out, d_in) for _ in range(r)]
+        want = np.abs(sum(k.conj().T @ k for k in kraus) - np.eye(d_in)).max()
+        (violation,) = validate(QuantumChannel(tuple(kraus)))
+        assert violation.residual == pytest.approx(want, rel=1e-12)
+
+    def test_channel_holds_one_read_only_copy(self):
+        rng = np.random.default_rng(4)
+        ch = random_channel(3, rng, n_kraus=5)
+        assert ch.stack.shape == (5, 3, 3) and not ch.stack.flags.writeable
+        assert all(np.shares_memory(k, ch.stack) and not k.flags.writeable for k in ch.kraus)
+        dch = commuting_derivative(ch, random_hermitian(3, rng))
+        assert dch.stack.shape == (2, 10, 3, 3) and not dch.stack.flags.writeable
+        assert all(np.shares_memory(m, dch.stack) for pair in dch.terms for m in pair)
+
+    def test_stack_rejects_mixed_shapes(self):
+        with pytest.raises(ValidationError, match="share one shape"):
+            QuantumChannel((I2, np.eye(3)))
+        with pytest.raises(ValidationError, match="equal shape"):
+            DerivativeChannel(((I2, I2), (np.eye(3), np.eye(3))))
+
+
+def _loop_phase_fix(v):
+    v = v.copy()
+    for j in range(v.shape[1]):
+        k = int(np.argmax(np.abs(v[:, j])))
+        pivot = v[k, j]
+        if abs(pivot) > 0:
+            v[:, j] *= pivot.conjugate() / abs(pivot)
+    return v
+
+
+class TestEigPhases:
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_y", "fourier4", "random5"])
+    def test_phase_fix_matches_loop(self, name):
+        if name == "sigma_x":
+            m = SIGMA_X
+        elif name == "sigma_y":
+            m = SIGMA_Y
+        elif name == "fourier4":
+            # eigenvectors of the cyclic shift: every entry has magnitude 1/2
+            shift = np.roll(np.eye(4), 1, axis=0)
+            m = shift + shift.T + 0.3j * (shift - shift.T)
+        else:
+            m = random_hermitian(5, np.random.default_rng(5)).matrix
+        eig = hermitian_eig(HermitianOperator(m))
+        want = _loop_phase_fix(np.linalg.eigh(m)[1])
+        np.testing.assert_array_equal(eig.eigenvectors, want)
+        v = eig.eigenvectors
+        pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        assert np.all(pivot.real > 0) and np.all(np.abs(pivot.imag) <= 1e-15)
+
+    def test_exact_tie_takes_lowest_index(self):
+        # eigenvectors (1, +-1)/sqrt(2) and (1, +-i)/sqrt(2): both entries tie
+        for m in (SIGMA_X, SIGMA_Y):
+            v = hermitian_eig(HermitianOperator(m)).eigenvectors
+            np.testing.assert_allclose(v[0], [1 / np.sqrt(2)] * 2, rtol=0, atol=1e-15)

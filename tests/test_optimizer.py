@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from qfimax import (
     unitary_channel,
     variational_value,
 )
+from qfimax import operators
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -163,6 +166,47 @@ class TestOptimize:
             for a, b in zip(result.trace, result.trace[1:]):
                 assert b.f >= a.f - 1e-9 * max(1.0, a.f)
             assert result.f_star <= gap ** 2 + 1e-8
+
+    @pytest.mark.parametrize("d, r", [(32, 2), (32, 32), (64, 2), (64, 64)])
+    def test_monotone_at_large_dimension(self, d, r):
+        rng = np.random.default_rng(d + r)
+        ch = random_channel(d, rng, n_kraus=r)
+        h = random_hermitian(d, rng)
+        result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=20, tol=1e-300, seed=r))
+        assert len(result.trace) == 20
+        for a, b in zip(result.trace, result.trace[1:]):
+            assert b.f >= a.f - 1e-12 * max(1.0, a.f)
+
+    @pytest.mark.parametrize("d, r, cfg, f_star", [
+        (16, 2, OptimizerConfig(restarts=2, seed=5), 147.72875324275773),
+        (64, 3, OptimizerConfig(restarts=1, seed=5, max_iters=20, tol=1e-300), 588.575806968471),
+    ])
+    def test_pinned_f_star(self, d, r, cfg, f_star):
+        # values from the per-Kraus-loop implementation of the channel maps
+        rng = np.random.default_rng(1000 + d)
+        ch = random_channel(d, rng, n_kraus=r)
+        h = random_hermitian(d, rng)
+        assert optimize(ch, h, cfg).f_star == pytest.approx(f_star, rel=1e-12, abs=0)
+
+    def test_one_eigensolve_per_matrix(self, monkeypatch):
+        # per step: the output state (SLD solve) and the objective operator
+        # (top eigenvector); the generator once per solve; no validate call
+        calls = {"hermitian_eig": 0, "validate": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        # the package's `sld` attribute is the function, not the module
+        for module in (operators, importlib.import_module("qfimax.sld")):
+            monkeypatch.setattr(module, "hermitian_eig", counted("hermitian_eig", module.hermitian_eig))
+        monkeypatch.setattr(operators, "validate", counted("validate", operators.validate))
+        rng = np.random.default_rng(8)
+        ch, h = random_channel(4, rng), random_hermitian(4, rng)
+        result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
+        assert calls == {"hermitian_eig": 2 * len(result.trace) + 1, "validate": 0}
 
     def test_x_update_is_optimal(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,15 @@ class TestEmitProblem:
             np.array(doc["channel"]["kraus"][0])[..., 0], np.eye(2), atol=1e-15)
 
 
+def run_main_quietly(argv, capsys):
+    """main(argv) with every warning recorded: (exit code, stdout, stderr lines, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err.splitlines(), caught
+
+
 class TestCliExitCodes:
     def test_success(self, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -121,19 +132,33 @@ class TestCliExitCodes:
         assert report["f_star"] == pytest.approx(1.0, abs=1e-8)
 
     def test_missing_file(self, capsys):
-        assert main(["qfi-max", "--problem", "/nonexistent.json"]) == EXIT_VALIDATION
-        assert "cannot read" in capsys.readouterr().err
+        code, out, err, caught = run_main_quietly(["qfi-max", "--problem", "/nonexistent.json"],
+                                                  capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert len(err) == 1 and err[0].startswith("error: cannot read")
 
     def test_invalid_problem(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text("{not json")
-        assert main(["qfi-max", "--problem", str(path)]) == EXIT_VALIDATION
+        code, out, err, caught = run_main_quietly(["qfi-max", "--problem", str(path)], capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert len(err) == 1 and err[0].startswith("error: syntax error")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b'{"dim": 2,\xff}'])
+    def test_undecodable_bytes_rejected(self, tmp_path, capsys, content):
+        path = tmp_path / "p.json"
+        path.write_bytes(content)
+        code, out, err, caught = run_main_quietly(["qfi-max", "--problem", str(path)], capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_command_requires_section(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(MINIMAL)
-        assert main(["cfi-max", "--problem", str(path)]) == EXIT_VALIDATION
-        assert "requires a 'povm' section" in capsys.readouterr().err
+        code, out, err, caught = run_main_quietly(["cfi-max", "--problem", str(path)], capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "requires a 'povm' section" in err[0]
 
     def test_numeric_failure(self, tmp_path, capsys):
         # coarse Bayes grid makes the two quadrature routes disagree
@@ -146,9 +171,11 @@ class TestCliExitCodes:
         assert main(["bayes-check", "--problem", str(path)]) == EXIT_NUMERIC
 
 
-    @pytest.mark.parametrize("where", ["nan-generator", "infinity-kraus", "1e999-generator"])
+    @pytest.mark.parametrize("where", ["nan-generator", "infinity-kraus", "1e999-generator",
+                                       "nan-input-state", "nan-angle", "nan-tol"])
     def test_non_finite_input_rejected(self, tmp_path, capsys, where):
         doc = json.loads((PROBLEMS / "dephasing_08.json").read_text())
+        argv = []
         if where == "nan-generator":
             doc["generator"][0][1][0] = float("nan")
             text = json.dumps(doc)
@@ -156,15 +183,27 @@ class TestCliExitCodes:
             doc["channel"] = {"kraus": [[[[float("inf"), 0.0], [0.0, 0.0]],
                                          [[0.0, 0.0], [1.0, 0.0]]]]}
             text = json.dumps(doc)
-        else:
+        elif where == "1e999-generator":
             doc["generator"][0][0][0] = "HUGE"
             text = json.dumps(doc).replace('"HUGE"', "1e999")
+        elif where == "nan-input-state":
+            doc["input_state"] = [[float("nan"), 0.0], [1.0, 0.0]]
+            text = json.dumps(doc)
+        elif where == "nan-angle":
+            doc["channel"] = {"preset": "unitary", "params": {
+                "exponent": doc["generator"], "angle": float("nan")}}
+            text = json.dumps(doc)
+        else:
+            text = json.dumps(doc)
+            argv = ["--tol", "nan"]
         path = tmp_path / "p.json"
         path.write_text(text)
-        assert main(["qfi-max", "--problem", str(path)]) == EXIT_VALIDATION
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "error:" in out.err
+        code, out, err, caught = run_main_quietly(["qfi-max", "--problem", str(path)] + argv,
+                                                  capsys)
+        assert code == EXIT_VALIDATION and out == ""
+        # rejected before any arithmetic: no numpy warning ahead of the error line
+        assert not caught
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_non_finite_report_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
@@ -187,6 +226,14 @@ class TestCliBehavior:
         overridden = json.loads(capsys.readouterr().out)
         assert base["config_echo"]["optimizer"]["seed"] == 1
         assert overridden["config_echo"]["optimizer"]["seed"] == 2
+
+    def test_config_echo_holds_digest_not_document(self, tmp_path, capsys):
+        source = PROBLEMS / "dephasing_08.json"
+        assert main(["qfi-max", "--problem", str(source)]) == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["config_echo"]
+        assert echo["problem_sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
+        assert "problem" not in echo
+        assert cli.problem_sha256(parse_problem(source.read_text())) == echo["problem_sha256"]
 
     def test_reports_reproducible_modulo_timestamp(self, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -45,6 +45,15 @@ class TestSolveSldRhs:
         with pytest.raises(ValidationError):
             solve_sld_rhs(DensityMatrix(2.0 * I2), HermitianOperator(SIGMA_X))
 
+    @pytest.mark.parametrize("rho, invariant", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "hermiticity"),
+        (np.diag([0.6, 0.6]), "unit trace"),
+        (np.diag([1.2, -0.2]), "positivity"),
+    ])
+    def test_names_the_violated_invariant(self, rho, invariant):
+        with pytest.raises(ValidationError, match=f"invalid density matrix: density matrix {invariant}"):
+            solve_sld_rhs(DensityMatrix(rho), HermitianOperator(SIGMA_X))
+
 
 class TestSld:
     def test_commuting_state_gives_zero(self):
@@ -91,6 +100,85 @@ class TestIrreducibility:
         rho = np.array([[0.4, 0.4, 0.0], [0.4, 0.4, 0.0], [0.0, 0.0, 0.2]])
         h = HermitianOperator(np.diag([1.0, 1.0, 1.0]))
         assert is_irreducible(DensityMatrix(rho), h)
+
+
+def _union_find_irreducible(rho, h, eps=1e-9):
+    """Reference: union-find over the coupled pairs of H eigenvalue groups."""
+    eig = np.linalg.eigh(h.matrix)
+    lam, v = eig[0], eig[1]
+    group = [0]
+    for j in range(1, len(lam)):
+        group.append(group[-1] + (1 if lam[j] - lam[j - 1] > eps else 0))
+    parent = list(range(group[-1] + 1))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    rho_eig = dagger(v) @ rho @ v
+    for j in range(len(lam)):
+        for k in range(j + 1, len(lam)):
+            if group[j] != group[k] and abs(rho_eig[j, k]) > eps:
+                parent[find(group[k])] = find(group[j])
+    return len({find(g) for g in range(len(parent))}) == 1
+
+
+def _rotated(rho_eig, lam, rng):
+    u = random_unitary(len(lam), rng)
+    return u @ rho_eig @ dagger(u), HermitianOperator(u @ np.diag(lam) @ dagger(u))
+
+
+class TestIrreducibilityAgainstUnionFind:
+    @pytest.mark.parametrize("case", ["single_group", "decoupled_blocks", "chain", "broken_chain",
+                                      "degenerate_bridge", "degenerate_split", "dense"])
+    def test_matches_reference(self, case):
+        rng = np.random.default_rng(len(case))
+        d = 6
+        lam = np.arange(d, dtype=float)
+        coupling = np.zeros((d, d), dtype=bool)
+        if case == "single_group":
+            lam = np.full(d, 2.0)
+        elif case == "decoupled_blocks":
+            coupling[:3, :3] = coupling[3:, 3:] = True
+        elif case in ("chain", "broken_chain"):
+            for j in range(d - 1):
+                coupling[j, j + 1] = coupling[j + 1, j] = True
+            if case == "broken_chain":
+                coupling[2, 3] = coupling[3, 2] = False
+        elif case == "degenerate_bridge":
+            # levels 1 and 2 share an eigenvalue; 0-1 and 2-3..5 couple through it
+            lam = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
+            coupling[0, 1] = coupling[1, 0] = True
+            coupling[2, 3:] = coupling[3:, 2] = True
+        elif case == "degenerate_split":
+            lam = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+            coupling[:2, :2] = coupling[2:, 2:] = True
+        else:
+            coupling[:] = True
+        g = random_density(d, rng).matrix
+        rho_eig = np.where(coupling | np.eye(d, dtype=bool), g, 0.0)
+        rho_eig = rho_eig / np.trace(rho_eig).real + 0.5 * np.eye(d)
+        rho_eig /= np.trace(rho_eig).real
+        rho, h = _rotated(rho_eig, lam, rng)
+        want = _union_find_irreducible(rho, h)
+        assert is_irreducible(DensityMatrix(rho), h) == want
+        expected = case in ("single_group", "chain", "degenerate_bridge", "dense")
+        assert want == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(2, 7), seed=st.integers(0, 2**31), zeros=st.integers(0, 30))
+    def test_random_sparse_states(self, dim, seed, zeros):
+        rng = np.random.default_rng(seed)
+        lam = np.sort(rng.integers(0, dim, size=dim)).astype(float)
+        rho_eig = random_density(dim, rng).matrix.copy()
+        for _ in range(zeros):
+            j, k = rng.integers(0, dim, size=2)
+            rho_eig[j, k] = rho_eig[k, j] = 0.0
+        rho_eig = 0.5 * rho_eig + 0.5 * np.diag(np.abs(np.diag(rho_eig)) + 1.0 / dim)
+        rho_eig /= np.trace(rho_eig).real
+        rho, h = _rotated(rho_eig, lam, rng)
+        assert is_irreducible(DensityMatrix(rho), h) == _union_find_irreducible(rho, h)
 
 
 class TestSldProperties:
