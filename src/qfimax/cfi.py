@@ -22,7 +22,7 @@ from .operators import (
 )
 from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
 
-DEFAULT_EPS_PROB = 1e-12
+EPS_PROB = 1e-12  # outcomes with p <= EPS_PROB are off the numerical support
 
 
 @dataclass(frozen=True)
@@ -79,24 +79,22 @@ def outcome_statistics(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> 
     return OutcomeStatistics(probs, dprobs, povm.labels)
 
 
-def classical_fi(stats: OutcomeStatistics, eps_prob: float = DEFAULT_EPS_PROB) -> float:
-    """Sum of dp^2/p over the numerical support {p > eps_prob}."""
-    on = stats.probs > eps_prob
+def classical_fi(stats: OutcomeStatistics) -> float:
+    """Sum of dp^2/p over the numerical support {p > EPS_PROB}."""
+    on = stats.probs > EPS_PROB
     if not np.any(on):
         return 0.0
     return float(np.sum(stats.dprobs[on] ** 2 / stats.probs[on]))
 
 
-def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm,
-              eps_prob: float = DEFAULT_EPS_PROB) -> EstimatorCoefficients:
+def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> EstimatorCoefficients:
     """Optimal coefficients D(x) = dp(x)/p(x) on the support, 0 elsewhere."""
-    return _optimal_d_from_stats(outcome_statistics(rho, h, povm), eps_prob)
+    return _optimal_d_from_stats(outcome_statistics(rho, h, povm))
 
 
-def _optimal_d_from_stats(stats: OutcomeStatistics,
-                          eps_prob: float = DEFAULT_EPS_PROB) -> EstimatorCoefficients:
+def _optimal_d_from_stats(stats: OutcomeStatistics) -> EstimatorCoefficients:
     values = np.zeros_like(stats.probs)
-    on = stats.probs > eps_prob
+    on = stats.probs > EPS_PROB
     values[on] = stats.dprobs[on] / stats.probs[on]
     return EstimatorCoefficients(values, stats.labels)
 

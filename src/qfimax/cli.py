@@ -29,8 +29,8 @@ from .oracles import (
     brute_force_max_qfi,
     model_from_quantum,
 )
-from .problem import BayesSpec, ProblemFile, encode_matrix, encode_vector, parse_problem
-from .sld import qfi, sld
+from .problem import BayesSpec, ProblemFile, encode_array, parse_problem
+from .sld import qfi, qfi_from_sld, sld
 
 COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "sld", "qfi-eval",
             "cfi-eval", "bayes-check", "oracle")
@@ -94,7 +94,7 @@ def _optimizer_report(command, problem, result):
         "command": command,
         "tool_version": __version__,
         "f_star": float(result.f_star),
-        "psi_star": encode_vector(result.psi_star.amplitudes),
+        "psi_star": encode_array(result.psi_star.amplitudes),
         "iterations": len(result.trace),
         "converged": bool(result.converged),
         "warnings": list(result.warnings),
@@ -108,7 +108,7 @@ def _value_report(command, problem, value, psi=None, details=None):
         "command": command,
         "tool_version": __version__,
         "f_star": value,
-        "psi_star": encode_vector(psi.amplitudes) if psi is not None else None,
+        "psi_star": encode_array(psi.amplitudes) if psi is not None else None,
         "iterations": 0,
         "converged": True,
         "warnings": [],
@@ -140,9 +140,9 @@ def run_command(command: str, problem: ProblemFile) -> dict:
         _require(problem, command, input_state=problem.input_state is not None)
         rho = channel_apply(problem.channel, problem.input_state)
         res = sld(rho, problem.generator, problem.optimizer.eps_rank)
-        value = qfi(rho, problem.generator, problem.optimizer.eps_rank)
+        value = qfi_from_sld(rho, res)
         details = {
-            "L": encode_matrix(res.L.matrix),
+            "L": encode_array(res.L.matrix),
             "rank": res.rank,
             "support_dim_deficit": res.support_dim_deficit,
             "residual": res.residual,

@@ -20,12 +20,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericError, ValidationError
 
-# Default tolerances; every check below takes them as keyword arguments.
+# Tolerances of the checks below.
 EPS_HERM = 1e-12
 EPS_PSD = 1e-10
 EPS_TP = 1e-10
 EPS_TRACE = 1e-12
 EPS_NORM = 1e-12
+EPS_DERIVATIVE = 1e-10  # both residuals of a derivative map
+EPS_ADJOINT_HERM = 1e-8  # relative asymmetry of a derivative map's adjoint
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -343,13 +345,11 @@ def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> Hermitian
     return HermitianOperator(hermitian_part(_adjoint_sandwich(ch.stack, a.matrix, ch.stack)))
 
 
-def derivative_adjoint_apply(
-    dch: DerivativeChannel, a: HermitianOperator, eps_herm: float = 1e-8
-) -> HermitianOperator:
+def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> HermitianOperator:
     """Adjoint action A -> sum_k A_k^dag A B_k, Hermitized.
 
     The raw adjoint of a genuine channel-family derivative is Hermitian up
-    to roundoff; an asymmetry beyond eps_herm signals a bad pair list.
+    to roundoff; an asymmetry beyond EPS_ADJOINT_HERM signals a bad pair list.
     """
     if not dch.terms:
         raise ValidationError("empty derivative channel")
@@ -361,16 +361,16 @@ def derivative_adjoint_apply(
     out = _adjoint_sandwich(dch.stack[0], a.matrix, dch.stack[1])
     scale = max(1.0, max_abs(out))
     asym = max_abs(out - dagger(out)) / scale
-    if asym > eps_herm:
+    if asym > EPS_ADJOINT_HERM:
         raise NumericError(f"derivative adjoint is non-Hermitian (relative asymmetry {asym:.3e})")
     return HermitianOperator(hermitian_part(out))
 
 
-def hermitian_eig(a: HermitianOperator, eps_herm: float = EPS_HERM) -> EigenDecomposition:
+def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
     is made real and positive (ties broken by lowest index)."""
-    if a.herm_residual() > eps_herm * max(1.0, max_abs(a.matrix)):
+    if a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     w, v = np.linalg.eigh(a.matrix)
     # argmax returns the lowest index among tied magnitudes
@@ -403,6 +403,8 @@ def finite_difference_derivative(family, phi0: float = 0.0, delta: float = 1e-5)
     family is a callable phi -> QuantumChannel; the result represents
     (family(phi0+delta) - family(phi0-delta)) / (2 delta) as a pair list.
     """
+    if not delta > 0:
+        raise ValidationError(f"finite-difference step must be positive, got {delta!r}")
     plus = family(phi0 + delta)
     minus = family(phi0 - delta)
     c = 1.0 / (2.0 * delta)
@@ -427,100 +429,96 @@ def commuting_derivative(ch: QuantumChannel, h: HermitianOperator) -> Derivative
 # validation
 
 
-def _hermitian_basis(dim: int):
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j, j] = 1.0
-        yield e
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = e[k, j] = 1.0
-            yield e
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = -1j
-            e[k, j] = 1j
-            yield e
+def _derivative_residuals(a: np.ndarray, b: np.ndarray):
+    """Largest Hermiticity and trace residuals of Phi = sum_k A_k . B_k^dag
+    ((r, m, n) stacks a, b) over the Hermitian basis E_jj, E_jk + E_kj,
+    -i E_jk + i E_kj (j < k), from matrix units: Tr Phi(E_jk) = Q_kj with
+    Q = sum_k B_k^dag A_k, and Phi(X) - Phi(X)^dag is U_jj, U_jk -+ U_jk^dag
+    with U_jk = Phi(E_jk) - Phi(E_kj)^dag, formed one column j at a time."""
+    r, m, n = a.shape
+    q = b.reshape(r * m, n).conj().T @ a.reshape(r * m, n)
+    trace = np.max([max_abs(np.diag(q)), max_abs(np.triu(q + q.T, 1)), max_abs(q - q.T)])
+    ac, bc = a.conj(), b.conj()
+    herm = 0.0
+    for j in range(n):
+        # u[..., i] = U_j(j+i)
+        u = (a[:, :, j].T @ bc[:, :, j:].reshape(r, -1)
+             - b[:, :, j].T @ ac[:, :, j:].reshape(r, -1)).reshape(m, m, n - j)
+        w = u[:, :, 1:]
+        wd = w.conj().transpose(1, 0, 2)
+        # np.max, unlike max, keeps a NaN residual
+        herm = np.max([herm, max_abs(u[:, :, 0]), max_abs(w + wd), max_abs(w - wd)])
+    return float(herm), float(trace)
 
 
-def density_violations(m: np.ndarray, eps_herm: float = EPS_HERM,
-                       eps_trace: float = EPS_TRACE) -> list:
+def density_violations(m: np.ndarray) -> list:
     """The hermiticity and unit-trace violations of a density matrix m;
     positivity, which needs its eigenvalues, is left to the caller."""
     out = []
     r = max_abs(m - dagger(m))
-    if not r <= eps_herm:
+    if not r <= EPS_HERM:
         out.append(Violation("density matrix hermiticity", r))
     r = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
-    if not r <= eps_trace:
+    if not r <= EPS_TRACE:
         out.append(Violation("density matrix unit trace", r))
     return out
 
 
-def validate(obj, eps_herm: float = EPS_HERM, eps_psd: float = EPS_PSD,
-             eps_tp: float = EPS_TP, eps_trace: float = EPS_TRACE,
-             eps_norm: float = EPS_NORM):
+def validate(obj):
     """Check all type invariants; return a list of Violation diagnostics.
 
-    Empty list means the object is valid within the given tolerances. A
+    Empty list means the object is valid within the EPS_* tolerances. A
     non-finite residual (NaN or infinite entries) counts as a violation.
     """
     out = []
     if isinstance(obj, DensityMatrix):
         m = obj.matrix
-        out = density_violations(m, eps_herm, eps_trace)
+        out = density_violations(m)
         wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
-        if not wmin >= -eps_psd:
+        if not wmin >= -EPS_PSD:
             out.append(Violation("density matrix positivity", -wmin))
     elif isinstance(obj, HermitianOperator):
         r = obj.herm_residual()
-        if not r <= eps_herm:
+        if not r <= EPS_HERM:
             out.append(Violation("operator hermiticity", r))
     elif isinstance(obj, PureState):
         r = abs(float(np.linalg.norm(obj.amplitudes)) - 1.0)
-        if not r <= eps_norm:
+        if not r <= EPS_NORM:
             out.append(Violation("state normalisation", r))
     elif isinstance(obj, QuantumChannel):
         r = max_abs(_kraus_gram(obj.stack) - np.eye(obj.dim_in))
-        if not r <= eps_tp:
+        if not r <= EPS_TP:
             out.append(Violation("channel trace preservation", r))
     elif isinstance(obj, Povm):
         s = np.zeros((obj.dim, obj.dim), dtype=complex)
         for lbl, e in zip(obj.labels, obj.elements):
             s += e
             r = max_abs(e - dagger(e))
-            if not r <= eps_herm:
+            if not r <= EPS_HERM:
                 out.append(Violation(f"POVM element '{lbl}' hermiticity", r))
             else:
                 wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(e))))
-                if not wmin >= -eps_psd:
+                if not wmin >= -EPS_PSD:
                     out.append(Violation(f"POVM element '{lbl}' positivity", -wmin))
         r = max_abs(s - np.eye(obj.dim))
-        if not r <= eps_tp:
+        if not r <= EPS_TP:
             out.append(Violation("POVM completeness", r))
     elif isinstance(obj, DerivativeChannel):
         if not obj.terms:
             return out
-        d = obj.dim_in
-        worst_herm = 0.0
-        worst_trace = 0.0
-        for e in _hermitian_basis(d):
-            y = obj.apply(e)
-            # np.maximum, unlike max, keeps a NaN residual
-            worst_herm = np.maximum(worst_herm, max_abs(y - dagger(y)))
-            worst_trace = np.maximum(worst_trace, abs(complex(np.trace(y))))
-        if not worst_herm <= 1e-10:
-            out.append(Violation("derivative channel hermiticity preservation", worst_herm))
-        if not worst_trace <= 1e-10:
-            out.append(Violation("derivative channel trace annihilation", worst_trace))
+        herm, trace = _derivative_residuals(*obj.stack)
+        if not herm <= EPS_DERIVATIVE:
+            out.append(Violation("derivative channel hermiticity preservation", herm))
+        if not trace <= EPS_DERIVATIVE:
+            out.append(Violation("derivative channel trace annihilation", trace))
     else:
         raise TypeError(f"validate: unsupported type {type(obj).__name__}")
     return out
 
 
-def require_valid(obj, what: str = "", **tol):
+def require_valid(obj, what: str = ""):
     """Raise ValidationError listing all violations, if any."""
-    raise_violations(validate(obj, **tol), what or type(obj).__name__)
+    raise_violations(validate(obj), what or type(obj).__name__)
 
 
 def raise_violations(violations: list, label: str) -> None:

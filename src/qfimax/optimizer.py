@@ -6,6 +6,8 @@ variant -Lambda^dag(X^2) + 2 Lambda'^dag(X).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .operators import (
 from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
+EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,22 @@ class OptimizerConfig:
     initial_state: PureState | None = None
 
     def __post_init__(self):
-        for name in ("tol", "eps_rank", "eps_deg"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        for names, kind, noun in ((("tol", "eps_rank", "eps_deg"), numbers.Real, "a real number"),
+                                  (("max_iters", "restarts", "seed"), numbers.Integral, "an integer")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValidationError(f"{name} must be {noun}, got {value!r}")
+                if not abs(value) <= sys.float_info.max:
+                    raise ValidationError(f"{name} must be finite")
         if self.tol <= 0:
             raise ValidationError("tol must be positive")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.init_mode not in INIT_MODES:
             raise ValidationError(f"unknown init_mode '{self.init_mode}'")
         if self.init_mode == "user_supplied" and self.initial_state is None:
@@ -85,10 +95,10 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
     return HermitianOperator(hermitian_part(g))
 
 
-def real_expectation(psi: PureState, op: HermitianOperator, eps_imag: float = 1e-8) -> float:
+def real_expectation(psi: PureState, op: HermitianOperator) -> float:
     v = psi.amplitudes
     val = complex(v.conj() @ op.matrix @ v)
-    if abs(val.imag) > eps_imag * max(1.0, abs(val.real)):
+    if abs(val.imag) > EPS_IMAG * max(1.0, abs(val.real)):
         raise NumericError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 

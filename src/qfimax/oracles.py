@@ -28,6 +28,7 @@ from .sld import qfi
 # 45 x 80 polar/azimuthal qubit grid; the odd polar count puts the equator
 # (where covariant-phase optima live) exactly on the grid
 BLOCH_GRID_SHAPE = (45, 80)
+CONSISTENCY_TOL = 1e-6  # relative disagreement of the two Bayesian routes
 
 
 @dataclass(frozen=True)
@@ -155,13 +156,12 @@ def bayes_best_estimator(model: DiscreteModel, prior: GaussianPrior) -> np.ndarr
     return est
 
 
-def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior,
-                      consistency_tol: float = 1e-6) -> float:
+def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:
     """Fisher information at the origin of the prior-smoothed outcome family.
 
     Computed directly from quadratures of the smoothed probabilities and,
     independently, from the best-estimator variance identity; a mismatch
-    beyond consistency_tol flags quadrature inadequacy.
+    beyond CONSISTENCY_TOL flags quadrature inadequacy.
     """
     g = _prior_on_grid(model, prior)
     phis = model.phis
@@ -179,7 +179,7 @@ def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior,
         direct += num * num / denom
         via_estimator += denom * (est[x] / var2) ** 2
     mismatch = abs(direct - via_estimator)
-    if mismatch > consistency_tol * max(1.0, abs(direct)):
+    if mismatch > CONSISTENCY_TOL * max(1.0, abs(direct)):
         raise NumericError(
             f"Bayesian Fisher information routes disagree by {mismatch:.3e}; "
             "refine the parameter grid"

@@ -5,12 +5,18 @@ A problem is a single JSON document. Complex scalars are encoded as
 are bit-exact and diff-friendly. Channels (and channel families) are given
 either as a named preset with parameters or as an explicit Kraus list;
 a list of such specs denotes composition, applied in order.
+
+Every value is read one way: arrays of [re, im] pairs by `_array`, numbers
+by `_number` and objects, whose keys are fixed, by `_object`. A malformed
+value raises ValidationError before any arithmetic touches it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,22 +34,14 @@ from .operators import (
 )
 from .optimizer import OptimizerConfig
 
-CHANNEL_PRESETS = {
-    "identity": lambda dim=2, **kw: ch_presets.identity_channel(int(dim)),
-    "unitary": lambda exponent, angle=1.0, **kw: ch_presets.unitary_channel(
-        decode_matrix(exponent, "unitary exponent"), float(angle)
-    ),
-    "dephasing": lambda eta, **kw: ch_presets.dephasing_channel(float(eta)),
-    "depolarizing": lambda p, **kw: ch_presets.depolarizing_channel(float(p)),
-    "amplitude-damping": lambda gamma, **kw: ch_presets.amplitude_damping_channel(float(gamma)),
+POVM_PRESETS = {
+    "computational": ch_presets.basis_povm,
+    "sigma_x": lambda dim: ch_presets.pauli_basis_povm("x"),
+    "sigma_y": lambda dim: ch_presets.pauli_basis_povm("y"),
+    "sigma_z": lambda dim: ch_presets.pauli_basis_povm("z"),
 }
 
-POVM_PRESETS = {
-    "computational": lambda dim=2: ch_presets.basis_povm(int(dim)),
-    "sigma_x": lambda dim=2: ch_presets.pauli_basis_povm("x"),
-    "sigma_y": lambda dim=2: ch_presets.pauli_basis_povm("y"),
-    "sigma_z": lambda dim=2: ch_presets.pauli_basis_povm("z"),
-}
+_KINDS = ("a vector", "a square matrix", "a list of square matrices", "a list of matrix pairs")
 
 
 @dataclass(frozen=True)
@@ -67,51 +65,83 @@ class ProblemFile:
     text: str | bytes  # as given to parse_problem; reports echo its SHA-256
 
 
-def decode_complex(pair, what="complex entry"):
-    if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
-        raise ValidationError(f"{what}: expected a [re, im] pair, got {pair!r}")
-    re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise ValidationError(f"{what}: [re, im] entries must be numbers")
-    return complex(re, im)
+def _array(x, what: str, ndim: int) -> np.ndarray:
+    """The non-empty complex array with `ndim` axes, the last two equal if
+    ndim >= 2, that x encodes as nested [re, im] pairs of finite numbers.
+    Checked before any arithmetic; the bits are those of complex(re, im)."""
+    try:
+        a = np.array(x)
+    except ValueError:  # ragged rows
+        a = np.array(None)
+    # strings, null, objects and integers beyond 64 bits give other kinds
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{what}: expected nested arrays of [re, im] number pairs")
+    shape = a.shape[:-1]
+    if (a.ndim != ndim + 1 or a.shape[-1] != 2 or 0 in shape
+            or (ndim > 1 and shape[-1] != shape[-2])):
+        raise ValidationError(f"{what}: expected {_KINDS[ndim - 1]} of [re, im] pairs, "
+                              f"got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what}: entries must be finite numbers")
+    return a.view(complex)[..., 0]
+
+
+def _number(x, what: str, integer: bool = False):
+    """x if it is a JSON number (an integer if `integer`) within float range."""
+    if (isinstance(x, bool) or not isinstance(x, int if integer else (int, float))
+            or not abs(x) <= sys.float_info.max):
+        raise ValidationError(f"{what} must be a finite {'integer' if integer else 'number'}, "
+                              f"got {x!r}")
+    return x
+
+
+def _object(spec, what: str, required=(), optional=()) -> dict:
+    """spec if it is a JSON object with every `required` key and no other outside `optional`."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = set(spec) - set(required) - set(optional)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    for key in required:
+        if key not in spec:
+            raise ValidationError(f"missing required field '{key}' in {what}")
+    return spec
+
+
+def _preset(name, table: dict, what: str):
+    if not isinstance(name, str) or name not in table:
+        raise ValidationError(f"unknown {what} preset {name!r}")
+    return table[name]
 
 
 def decode_matrix(rows, what="matrix"):
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError(f"{what}: expected a non-empty array of rows")
-    m = np.array([[decode_complex(c, what) for c in row] for row in rows])
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{what}: expected a square matrix, got shape {m.shape}")
-    return _require_finite(m, what)
+    return _array(rows, what, 2)
 
 
 def decode_vector(entries, what="vector"):
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError(f"{what}: expected a non-empty array")
-    return _require_finite(np.array([decode_complex(c, what) for c in entries]), what)
+    return _array(entries, what, 1)
 
 
-def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    # before any arithmetic, so that NaN or infinite input raises no numpy warning
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what}: entries must be finite numbers")
-    return a
+def encode_array(a) -> list:
+    """Nested [re, im] pairs of a complex array."""
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+# name -> (channel constructor, reader of each param, the params it needs)
+CHANNEL_PRESETS = {
+    "identity": (ch_presets.identity_channel, {"dim": partial(_number, integer=True)}, ()),
+    "unitary": (ch_presets.unitary_channel, {"exponent": decode_matrix, "angle": _number},
+                ("exponent",)),
+    "dephasing": (ch_presets.dephasing_channel, {"eta": _number}, ("eta",)),
+    "depolarizing": (ch_presets.depolarizing_channel, {"p": _number}, ("p",)),
+    "amplitude-damping": (ch_presets.amplitude_damping_channel, {"gamma": _number}, ("gamma",)),
+}
 
 
-def encode_matrix(m) -> list:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
-
-
-def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v)]
-
-
-def _decode_one_channel(spec, dim: int) -> QuantumChannel:
+def _decode_one_channel(spec, dim: int, phi: dict | None = None) -> QuantumChannel:
+    """One channel stage. In a finite-difference family, phi maps the varied
+    param to its value, which stages marked "phi": true take."""
     if not isinstance(spec, dict):
         raise ValidationError("channel spec must be an object or a list of objects")
     forms = [k for k in ("preset", "kraus") if k in spec]
@@ -120,108 +150,81 @@ def _decode_one_channel(spec, dim: int) -> QuantumChannel:
             "exactly one channel form ('preset' or 'kraus') must be present, "
             f"found {forms or 'none'}"
         )
-    if "preset" in spec:
-        name = spec["preset"]
-        if name not in CHANNEL_PRESETS:
-            raise ValidationError(f"unknown channel preset '{name}'")
-        params = dict(spec.get("params", {}))
-        params.setdefault("dim", dim)
-        try:
-            return CHANNEL_PRESETS[name](**params)
-        except TypeError as exc:
-            raise ValidationError(f"channel preset '{name}': {exc}") from exc
-    kraus = spec["kraus"]
-    if not isinstance(kraus, list) or not kraus:
-        raise ValidationError("explicit channel needs a non-empty Kraus list")
-    return QuantumChannel(tuple(decode_matrix(k, "Kraus operator") for k in kraus))
+    if "kraus" in spec:
+        _object(spec, "Kraus channel", ("kraus",))
+        return QuantumChannel(tuple(_array(spec["kraus"], "Kraus operators", 3)))
+    _object(spec, "preset channel", ("preset",), ("params", "phi") if phi else ("params",))
+    name = spec["preset"]
+    build, readers, needed = _preset(name, CHANNEL_PRESETS, "channel")
+    params = spec.get("params", {})
+    if not isinstance(spec.get("phi", False), bool):
+        raise ValidationError("'phi' must be true or false")
+    if spec.get("phi") and isinstance(params, dict):
+        params = {**params, **phi}
+    what = f"channel preset '{name}'"
+    kwargs = {k: readers[k](v, f"{what} param '{k}'")
+              for k, v in _object(params, f"{what} params", needed, readers).items()}
+    # every stage maps the problem's space to itself: checked before building
+    if "dim" in readers and kwargs.setdefault("dim", dim) != dim:
+        raise ValidationError(f"{what} has dim {kwargs['dim']}, declared dim is {dim}")
+    return build(**kwargs)
 
 
-def decode_channel(spec, dim: int) -> QuantumChannel:
+def decode_channel(spec, dim: int, phi: dict | None = None) -> QuantumChannel:
     stages = spec if isinstance(spec, list) else [spec]
-    built = [_decode_one_channel(s, dim) for s in stages]
-    return ch_presets.compose_channels(*built)
+    return ch_presets.compose_channels(*(_decode_one_channel(s, dim, phi) for s in stages))
 
 
 def decode_povm(spec, dim: int) -> Povm:
     if isinstance(spec, dict) and "preset" in spec:
-        name = spec["preset"]
-        if name not in POVM_PRESETS:
-            raise ValidationError(f"unknown POVM preset '{name}'")
-        return POVM_PRESETS[name](dim)
-    if isinstance(spec, dict) and "elements" in spec:
-        els = tuple(decode_matrix(e, "POVM element") for e in spec["elements"])
-        labels = tuple(spec.get("labels", ()))
-        return Povm(els, labels)
-    raise ValidationError("POVM spec needs either 'preset' or 'elements'")
+        _object(spec, "POVM", ("preset",))
+        return _preset(spec["preset"], POVM_PRESETS, "POVM")(dim)
+    spec = _object(spec, "POVM", ("elements",), ("labels",))
+    labels = spec.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ValidationError("POVM labels must be a list of strings")
+    return Povm(tuple(_array(spec["elements"], "POVM elements", 3)), tuple(labels))
 
 
 def decode_derivative_channel(spec, dim: int, channel: QuantumChannel,
                               generator: HermitianOperator) -> DerivativeChannel:
-    if not isinstance(spec, dict):
-        raise ValidationError("derivative_channel spec must be an object")
-    forms = [k for k in ("terms", "commuting", "finite_difference") if k in spec]
-    if len(forms) != 1:
+    spec = _object(spec, "derivative_channel", (), ("terms", "commuting", "finite_difference"))
+    if len(spec) != 1:
         raise ValidationError(
             "exactly one derivative form ('terms', 'commuting' or 'finite_difference') "
-            f"must be present, found {forms or 'none'}"
+            f"must be present, found {list(spec) or 'none'}"
         )
     if "terms" in spec:
-        pairs = spec["terms"]
-        if not isinstance(pairs, list) or not pairs:
-            raise ValidationError("derivative 'terms' must be a non-empty list of matrix pairs")
-        terms = []
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError("each derivative term must be a [A, B] matrix pair")
-            terms.append((decode_matrix(pair[0], "derivative term A"),
-                          decode_matrix(pair[1], "derivative term B")))
-        return DerivativeChannel(tuple(terms))
+        return DerivativeChannel(tuple(_array(spec["terms"], "derivative terms", 4)))
     if "commuting" in spec:
         if spec["commuting"] is not True:
             raise ValidationError("'commuting' must be true when present")
         return commuting_derivative(channel, generator)
-    fd = spec["finite_difference"]
-    if not isinstance(fd, dict) or "family" not in fd:
-        raise ValidationError("'finite_difference' needs a 'family' channel spec")
-    delta = float(fd.get("delta", 1e-5))
-    phi0 = float(fd.get("phi0", 0.0))
+    fd = _object(spec["finite_difference"], "finite_difference", ("family",),
+                 ("delta", "phi0", "phi_param"))
     phi_param = fd.get("phi_param", "angle")
-    family_spec = fd["family"]
-    stages = family_spec if isinstance(family_spec, list) else [family_spec]
-
-    def family(phi):
-        built = []
-        for s in stages:
-            s = dict(s)
-            if s.pop("phi", False):
-                params = dict(s.get("params", {}))
-                params[phi_param] = phi
-                s["params"] = params
-            built.append(_decode_one_channel(s, dim))
-        return ch_presets.compose_channels(*built)
-
-    return finite_difference_derivative(family, phi0=phi0, delta=delta)
+    if not isinstance(phi_param, str):
+        raise ValidationError(f"finite_difference phi_param must be a string, got {phi_param!r}")
+    return finite_difference_derivative(
+        lambda phi: decode_channel(fd["family"], dim, {phi_param: phi}),
+        phi0=_number(fd.get("phi0", 0.0), "finite_difference phi0"),
+        delta=_number(fd.get("delta", 1e-5), "finite_difference delta"))
 
 
 def decode_bayes(spec) -> BayesSpec:
-    if not isinstance(spec, dict):
-        raise ValidationError("bayes spec must be an object")
-    return BayesSpec(
-        delta_prior=float(spec.get("delta_prior", 1e-3)),
-        grid_halfwidth=float(spec.get("grid_halfwidth", 6.0)),
-        grid_points=int(spec.get("grid_points", 201)),
-        sweep=tuple(float(x) for x in spec.get("sweep", (0.3, 0.1, 0.03))),
-    )
+    spec = _object(spec, "bayes", (), ("delta_prior", "grid_halfwidth", "grid_points", "sweep"))
+    kwargs = {k: _number(v, f"bayes {k}", k == "grid_points")
+              for k, v in spec.items() if k != "sweep"}
+    if "sweep" in spec:
+        if not isinstance(spec["sweep"], list):
+            raise ValidationError("bayes sweep must be a list of numbers")
+        kwargs["sweep"] = tuple(_number(x, "bayes sweep entry") for x in spec["sweep"])
+    return BayesSpec(**kwargs)
 
 
 def decode_optimizer(spec, input_state) -> OptimizerConfig:
-    if not isinstance(spec, dict):
-        raise ValidationError("optimizer spec must be an object")
-    known = {"tol", "max_iters", "eps_rank", "eps_deg", "restarts", "seed", "init_mode"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ValidationError(f"unknown optimizer fields: {sorted(unknown)}")
-    kwargs = dict(spec)
+    kwargs = dict(_object(spec, "optimizer", (), ("tol", "max_iters", "eps_rank", "eps_deg",
+                                                  "restarts", "seed", "init_mode")))
     if kwargs.get("init_mode") == "user_supplied":
         if input_state is None:
             raise ValidationError("init_mode 'user_supplied' requires an input_state")
@@ -238,19 +241,11 @@ def parse_problem(text: str | bytes) -> ProblemFile:
         raise ValidationError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"problem text is not valid Unicode: {exc}")
-    if not isinstance(doc, dict):
-        raise ValidationError("problem document must be a JSON object")
-    known = {"dim", "generator", "channel", "povm", "derivative_channel",
-             "input_state", "optimizer", "bayes"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"unknown problem fields: {sorted(unknown)}")
-    for required in ("dim", "generator", "channel"):
-        if required not in doc:
-            raise ValidationError(f"missing required field '{required}'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ValidationError(f"'dim' must be a positive integer, got {dim!r}")
+    except RecursionError:
+        raise ValidationError("problem document nests too deeply")
+    _object(doc, "problem", ("dim", "generator", "channel"),
+            ("povm", "derivative_channel", "input_state", "optimizer", "bayes"))
+    dim = _number(doc["dim"], "'dim'", integer=True)  # the generator's dim must match it
 
     generator = HermitianOperator(decode_matrix(doc["generator"], "generator"))
     if generator.dim != dim:
@@ -295,20 +290,19 @@ def emit_problem(pf: ProblemFile) -> str:
     to explicit matrices; re-parsing the output yields the same structure."""
     doc = {
         "dim": pf.dim,
-        "generator": encode_matrix(pf.generator.matrix),
-        "channel": {"kraus": [encode_matrix(k) for k in pf.channel.kraus]},
+        "generator": encode_array(pf.generator.matrix),
+        "channel": {"kraus": encode_array(pf.channel.stack)},
     }
     if pf.povm is not None:
         doc["povm"] = {
-            "elements": [encode_matrix(e) for e in pf.povm.elements],
+            "elements": [encode_array(e) for e in pf.povm.elements],
             "labels": list(pf.povm.labels),
         }
     if pf.input_state is not None:
-        doc["input_state"] = encode_vector(pf.input_state.amplitudes)
+        doc["input_state"] = encode_array(pf.input_state.amplitudes)
     if pf.derivative_channel is not None:
-        doc["derivative_channel"] = {
-            "terms": [[encode_matrix(a), encode_matrix(b)] for a, b in pf.derivative_channel.terms]
-        }
+        pairs = pf.derivative_channel.stack.swapaxes(0, 1)  # [A_k, B_k] pairs
+        doc["derivative_channel"] = {"terms": encode_array(pairs)}
     cfg = pf.optimizer
     doc["optimizer"] = {
         "tol": cfg.tol, "max_iters": cfg.max_iters, "eps_rank": cfg.eps_rank,

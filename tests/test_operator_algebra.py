@@ -372,6 +372,71 @@ class TestStackedMaps:
             DerivativeChannel(((I2, I2), (np.eye(3), np.eye(3))))
 
 
+def _hermitian_basis(dim: int):
+    """E_jj, then E_jk + E_kj and -i E_jk + i E_kj for j < k."""
+    for j in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[j, j] = 1.0
+        yield e
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = e[k, j] = 1.0
+            yield e
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = -1j
+            e[k, j] = 1j
+            yield e
+
+
+def _probe_residuals(dch):
+    """The derivative residuals by applying the map to each of the d^2
+    Hermitian basis elements, O(r d^5): (hermiticity, trace)."""
+    herm = trace = 0.0
+    for e in _hermitian_basis(dch.dim_in):
+        y = dch.apply(e)
+        herm = max(herm, np.abs(y - y.conj().T).max())
+        trace = max(trace, abs(np.trace(y)))
+    return herm, trace
+
+
+def _validate_residuals(dch):
+    found = {v.invariant: v.residual for v in validate(dch)}
+    return (found.get("derivative channel hermiticity preservation", 0.0),
+            found.get("derivative channel trace annihilation", 0.0))
+
+
+class TestDerivativeValidation:
+    @pytest.mark.parametrize("d_out, d_in, r", SHAPES + [(6, 6, 3), (16, 16, 32)])
+    def test_closed_form_matches_probe_loop(self, d_out, d_in, r):
+        # independent A_k and B_k: neither Hermiticity-preserving nor trace-annihilating
+        rng = np.random.default_rng(400 + 10 * d_in + r)
+        dch = DerivativeChannel(tuple((_gaussian(rng, d_out, d_in), _gaussian(rng, d_out, d_in))
+                                      for _ in range(r)))
+        herm, trace = _probe_residuals(dch)
+        assert herm > 1e-3 and trace > 1e-3
+        assert _validate_residuals(dch) == pytest.approx((herm, trace), rel=1e-14)
+
+    @pytest.mark.parametrize("dim, r", [(2, 1), (3, 2), (5, 4)])
+    def test_channel_family_derivatives_pass(self, dim, r):
+        rng = np.random.default_rng(500 + dim)
+        dch = commuting_derivative(random_channel(dim, rng, n_kraus=r), random_hermitian(dim, rng))
+        assert validate(dch) == []
+        herm, trace = _probe_residuals(dch)
+        assert herm <= 1e-10 and trace <= 1e-10
+
+    def test_each_invariant_flagged_alone(self):
+        flagged = lambda dch: {v.invariant.split()[-1] for v in validate(dch)}
+        # rho -> sigma_x rho: neither Hermitian on Hermitian input nor traceless
+        assert flagged(DerivativeChannel(((SIGMA_X, I2),))) == {"preservation", "annihilation"}
+        # rho -> [sigma_z, rho]: traceless but anti-Hermitian on Hermitian input
+        assert flagged(DerivativeChannel(((SIGMA_Z, I2), (-I2, SIGMA_Z)))) == {"preservation"}
+        # rho -> sigma_x rho sigma_x: Hermiticity-preserving, keeps the trace
+        assert flagged(DerivativeChannel(((SIGMA_X, SIGMA_X),))) == {"annihilation"}
+        # rho -> -i [sigma_z, rho]: a genuine derivative
+        assert flagged(DerivativeChannel(((-1j * SIGMA_Z, I2), (I2, -1j * SIGMA_Z)))) == set()
+
+
 def _loop_phase_fix(v):
     v = v.copy()
     for j in range(v.shape[1]):

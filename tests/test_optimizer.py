@@ -120,6 +120,24 @@ class TestOptimize:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             OptimizerConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["max_iters", "restarts", "seed"])
+    @pytest.mark.parametrize("bad", [True, "3", 2.5, 3.0])
+    def test_integer_fields_reject_other_types(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["tol", "eps_rank", "eps_deg"])
+    @pytest.mark.parametrize("bad", [True, "1e-9", None])
+    def test_real_fields_reject_other_types(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be a real number"):
+            OptimizerConfig(**{field: bad})
+
+    def test_seed_is_non_negative(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            OptimizerConfig(seed=-1)
+        # numpy scalars are numbers too
+        assert OptimizerConfig(seed=np.int64(0), tol=np.float64(1e-9)).seed == 0
+
     def test_trace_is_iterated_step(self):
         # the engine and the public step must not drift apart: same records, bit for bit
         rng = np.random.default_rng(11)

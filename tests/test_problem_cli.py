@@ -152,6 +152,13 @@ class TestCliExitCodes:
         assert code == EXIT_VALIDATION and out == "" and not caught
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_deeply_nested_document_rejected(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err, caught = run_main_quietly(["qfi-max", "--problem", str(path)], capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert err == ["error: problem document nests too deeply"]
+
     def test_command_requires_section(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(MINIMAL)
@@ -203,6 +210,56 @@ class TestCliExitCodes:
         assert code == EXIT_VALIDATION and out == ""
         # rejected before any arithmetic: no numpy warning ahead of the error line
         assert not caught
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    # (case, command, change to a valid document, extra flags)
+    MALFORMED = [
+        ("unknown-preset-param", "qfi-max",
+         {"channel": {"preset": "dephasing", "params": {"eta": 0.8, "gamma": 0.1}}}, []),
+        ("string-number-eta", "qfi-max",
+         {"channel": {"preset": "dephasing", "params": {"eta": "0.8"}}}, []),
+        ("string-eta", "qfi-max", {"channel": {"preset": "dephasing", "params": {"eta": "abc"}}}, []),
+        ("params-list", "qfi-max", {"channel": {"preset": "dephasing", "params": [0.8]}}, []),
+        ("huge-int-entry", "qfi-max",
+         {"generator": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]}, []),
+        ("nan-delta-prior", "bayes-check",
+         {"bayes": {"delta_prior": float("nan"), "grid_points": 2001}}, []),
+        ("string-grid-points", "bayes-check",
+         {"bayes": {"delta_prior": 1e-3, "grid_points": "2001"}}, []),
+        ("unknown-bayes-key", "bayes-check",
+         {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "gridpoints": 2001}}, []),
+        ("number-sweep", "bayes-check",
+         {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "sweep": 5}}, []),
+        ("fractional-max-iters", "qfi-max", {"optimizer": {"max_iters": 2.5}}, []),
+        ("string-restarts", "qfi-max", {"optimizer": {"restarts": "3"}}, []),
+        ("negative-seed-file", "qfi-max", {"optimizer": {"seed": -1}}, []),
+        ("negative-seed-flag", "qfi-max", {}, ["--seed", "-1"]),
+        ("zero-delta", "qfi-max-general", {"derivative_channel": {"finite_difference": {
+            "family": {"preset": "unitary", "params": {"exponent": json.loads(MINIMAL)["generator"]},
+                       "phi": True}, "delta": 0}}}, []),
+        ("string-delta", "qfi-max-general", {"derivative_channel": {"finite_difference": {
+            "family": {"preset": "unitary", "params": {"exponent": json.loads(MINIMAL)["generator"]},
+                       "phi": True}, "delta": "x"}}}, []),
+        # dephasing has no 'angle' (the default phi_param): the family would not vary
+        ("phi-param-not-in-preset", "qfi-max-general", {"derivative_channel": {"finite_difference": {
+            "family": {"preset": "dephasing", "params": {"eta": 0.8}, "phi": True}}}}, []),
+    ]
+
+    @pytest.mark.parametrize("case, command, change, flags", MALFORMED,
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_input_rejected(self, tmp_path, capsys, case, command, change, flags):
+        valid = {"input_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+                 "povm": {"preset": "sigma_y"}, "derivative_channel": {"commuting": True},
+                 "bayes": {"delta_prior": 1e-3, "grid_points": 2001},
+                 "optimizer": {"restarts": 1, "max_iters": 20}}
+        path = tmp_path / "p.json"
+        path.write_text(problem_text(**valid))
+        code, out, err, caught = run_main_quietly([command, "--problem", str(path)], capsys)
+        assert code == EXIT_OK  # the document before the change is valid
+        path.write_text(problem_text(**{**valid, **change}))
+        code, out, err, caught = run_main_quietly([command, "--problem", str(path)] + flags,
+                                                  capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
         assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_non_finite_report_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
