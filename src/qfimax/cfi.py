@@ -17,7 +17,7 @@ from .operators import (
     PureState,
     QuantumChannel,
     channel_adjoint_apply,
-    commutator,
+    hermitian_commutator,
     hermitian_part,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
@@ -73,10 +73,17 @@ def outcome_statistics(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> 
         raise ValidationError(
             f"dimension mismatch: rho {rho.dim}, H {h.dim}, POVM {povm.dim}"
         )
-    drho = -1j * commutator(h.matrix, rho.matrix)
-    probs = np.array([float(np.real(np.trace(rho.matrix @ e))) for e in povm.elements])
-    dprobs = np.array([float(np.real(np.trace(drho @ e))) for e in povm.elements])
+    drho = -1j * hermitian_commutator(h.matrix, rho.matrix)
+    # for Hermitian A, Re Tr{A Pi_x} = sum_ab Re A_ab Re (Pi_x)_ab + Im A_ab Im (Pi_x)_ab
+    ab = np.stack((rho.matrix, drho)).reshape(2, -1).view(float)
+    probs, dprobs = ab @ _real_rows(povm).T
     return OutcomeStatistics(probs, dprobs, povm.labels)
+
+
+def _real_rows(povm: Povm) -> np.ndarray:
+    """The (n, 2 d^2) real view of the POVM stack: row x holds re and im
+    of each entry of Pi_x in turn."""
+    return povm.stack.reshape(len(povm.stack), -1).view(float)
 
 
 def classical_fi(stats: OutcomeStatistics) -> float:
@@ -105,16 +112,14 @@ def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
         raise ValidationError(f"moment order must be 1 or 2, got {j}")
     if d.labels != povm.labels:
         raise ValidationError("estimator labels do not match the POVM")
-    out = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for c, e in zip(d.values, povm.elements):
-        out += (c ** j) * e
+    out = (d.values ** j @ _real_rows(povm)).view(complex).reshape(povm.dim, povm.dim)
     return HermitianOperator(hermitian_part(out))
 
 
 def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) -> HermitianOperator:
     x1 = x_moment(d, povm, 1)
     x2 = x_moment(d, povm, 2)
-    op = -x2.matrix + 2j * commutator(h.matrix, x1.matrix)
+    op = -x2.matrix + 2j * hermitian_commutator(h.matrix, x1.matrix)
     return HermitianOperator(hermitian_part(op))
 
 

@@ -70,13 +70,11 @@ def compose_channels(*chs: QuantumChannel) -> QuantumChannel:
 
 
 def basis_povm(dim: int) -> Povm:
-    """Computational-basis projective measurement."""
-    els = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j, j] = 1.0
-        els.append(e)
-    return Povm(tuple(els), tuple(str(j) for j in range(dim)))
+    """Computational-basis projective measurement, labelled '0', '1', ..."""
+    j = np.arange(dim)
+    stack = np.zeros((dim, dim, dim), dtype=complex)
+    stack[j, j, j] = 1.0
+    return Povm(stack)
 
 
 def pauli_basis_povm(axis: str) -> Povm:

@@ -29,7 +29,7 @@ from .oracles import (
     brute_force_max_qfi,
     model_from_quantum,
 )
-from .problem import BayesSpec, ProblemFile, encode_array, parse_problem
+from .problem import OPTIMIZER_FIELDS, BayesSpec, ProblemFile, encode_array, parse_problem
 from .sld import qfi, qfi_from_sld, sld
 
 COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "sld", "qfi-eval",
@@ -53,19 +53,10 @@ def problem_sha256(problem: ProblemFile) -> str:
 
 
 def _config_echo(problem: ProblemFile, command: str) -> dict:
-    cfg = problem.optimizer
     echo = {
         "command": command,
         "dim": problem.dim,
-        "optimizer": {
-            "tol": cfg.tol,
-            "max_iters": cfg.max_iters,
-            "eps_rank": cfg.eps_rank,
-            "eps_deg": cfg.eps_deg,
-            "restarts": cfg.restarts,
-            "seed": cfg.seed,
-            "init_mode": cfg.init_mode,
-        },
+        "optimizer": {k: getattr(problem.optimizer, k) for k in OPTIMIZER_FIELDS},
         "problem_sha256": problem_sha256(problem),
     }
     if problem.bayes is not None:

@@ -120,13 +120,15 @@ class PureState:
         return DensityMatrix(np.outer(v, v.conj()))
 
 
-def _frozen_stack(stack, mats, msg: str) -> np.ndarray:
-    """Read-only complex copy of `stack`, a (nested) sequence of the
-    matrices `mats`, after checking that they are matrices of one shape."""
-    shape = np.shape(mats[0])
-    if len(shape) != 2 or any(np.shape(m) != shape for m in mats):
+def _frozen_stack(stack, ndim: int, msg: str) -> np.ndarray:
+    """Read-only complex copy of `stack`, a (nested) sequence of matrices,
+    after checking that they have one shape: the copy must have `ndim` axes."""
+    try:
+        out = np.array(stack, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValidationError(msg) from None
+    if out.ndim != ndim:
         raise ValidationError(msg)
-    out = np.array(stack, dtype=complex)
     out.setflags(write=False)
     return out
 
@@ -149,7 +151,7 @@ class QuantumChannel:
             raise ValidationError("channel needs at least one Kraus operator")
         if np.ndim(self.kraus[0]) != 2:
             raise ValidationError("Kraus operators must be matrices")
-        stack = _frozen_stack(self.kraus, self.kraus, "all Kraus operators must share one shape")
+        stack = _frozen_stack(self.kraus, 3, "all Kraus operators must share one shape")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
 
@@ -183,7 +185,7 @@ class DerivativeChannel:
         if any(len(pair) != 2 for pair in pairs):
             raise ValidationError(msg)
         if pairs:
-            stack = _frozen_stack(tuple(zip(*pairs)), [m for pair in pairs for m in pair], msg)
+            stack = _frozen_stack(tuple(zip(*pairs)), 4, msg)
         else:
             stack = np.zeros((2, 0, 0, 0), dtype=complex)
             stack.setflags(write=False)
@@ -215,28 +217,34 @@ class DerivativeChannel:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite list of positive operators summing to identity."""
+    """Finite list of positive operators summing to identity.
+
+    Elements are stored once, as the read-only square (n, dim, dim) array
+    `stack`; `elements` is a tuple of views into it. Positivity and
+    completeness are checked by :func:`validate`.
+    """
 
     elements: tuple
     labels: tuple = ()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        els = tuple(_freeze(e) for e in self.elements)
-        if not els:
+        if not len(self.elements):
             raise ValidationError("POVM needs at least one element")
-        d = els[0].shape[0]
-        for e in els:
-            if e.shape[0] != d:
-                raise ValidationError("POVM elements must share one dimension")
-        labels = tuple(self.labels) if self.labels else tuple(str(i) for i in range(len(els)))
-        if len(labels) != len(els):
+        stack = _frozen_stack(self.elements, 3, "POVM elements must be matrices of one shape")
+        if stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+            raise ValidationError(
+                f"POVM elements must be square matrices, got shape {stack.shape[1:]}")
+        labels = tuple(self.labels) if self.labels else tuple(map(str, range(len(stack))))
+        if len(labels) != len(stack):
             raise ValidationError("need exactly one label per POVM element")
-        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.stack.shape[1]
 
 
 @dataclass(frozen=True)
@@ -490,17 +498,17 @@ def validate(obj):
         if not r <= EPS_TP:
             out.append(Violation("channel trace preservation", r))
     elif isinstance(obj, Povm):
-        s = np.zeros((obj.dim, obj.dim), dtype=complex)
-        for lbl, e in zip(obj.labels, obj.elements):
-            s += e
-            r = max_abs(e - dagger(e))
-            if not r <= EPS_HERM:
-                out.append(Violation(f"POVM element '{lbl}' hermiticity", r))
-            else:
-                wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(e))))
-                if not wmin >= -EPS_PSD:
-                    out.append(Violation(f"POVM element '{lbl}' positivity", -wmin))
-        r = max_abs(s - np.eye(obj.dim))
+        s = obj.stack
+        sd = s.conj().swapaxes(1, 2)
+        herm = np.max(np.abs(s - sd), axis=(1, 2))
+        # eigenvalues of the Hermitian elements only, so a NaN one is a violation, not an error
+        ok = herm <= EPS_HERM
+        wmin = np.zeros(len(s))
+        wmin[ok] = np.linalg.eigvalsh(0.5 * (s[ok] + sd[ok]))[:, 0]
+        out = [Violation(f"POVM element '{obj.labels[i]}' positivity", float(-wmin[i])) if ok[i]
+               else Violation(f"POVM element '{obj.labels[i]}' hermiticity", float(herm[i]))
+               for i in np.flatnonzero(~(ok & (wmin >= -EPS_PSD)))]
+        r = max_abs(s.sum(axis=0) - np.eye(obj.dim))
         if not r <= EPS_TP:
             out.append(Violation("POVM completeness", r))
     elif isinstance(obj, DerivativeChannel):

@@ -31,6 +31,7 @@ from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
+EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,7 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
                 break
         f_star = trace[-1].f
         restart_values.append(f_star)
-        # strict > keeps the lowest restart index on ties
-        if best is None or f_star > best[0]:
+        if best is None or f_star > best[0] + EPS_TIE * max(1.0, abs(best[0])):
             best = (f_star, trace[-1].psi, tuple(trace), converged)
     f_star, psi_star, trace, converged = best
     warnings = []

@@ -29,6 +29,8 @@ from .sld import qfi
 # (where covariant-phase optima live) exactly on the grid
 BLOCH_GRID_SHAPE = (45, 80)
 CONSISTENCY_TOL = 1e-6  # relative disagreement of the two Bayesian routes
+MAX_GRID_POINTS = 100001  # largest Bayesian parameter grid
+GRID_BLOCK = 1024  # grid points per product in model_from_quantum
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,9 @@ class GaussianPrior:
             raise ValidationError("prior standard deviation must be positive")
         if self.grid_points % 2 == 0 or self.grid_points < 3:
             raise ValidationError("grid_points must be odd and at least 3")
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ValidationError(f"grid_points must be at most {MAX_GRID_POINTS}, "
+                                  f"got {self.grid_points}")
 
     def grid(self) -> np.ndarray:
         half = self.grid_halfwidth * self.delta_prior
@@ -116,18 +121,22 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
 
 def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
                        povm: Povm, phis) -> DiscreteModel:
-    """Tabulate p_phi(x) = Tr{Pi_x e^{-i phi H} Lambda(|psi><psi|) e^{i phi H}}."""
+    """Tabulate p_phi(x) = Tr{Pi_x e^{-i phi H} Lambda(|psi><psi|) e^{i phi H}}.
+
+    In the eigenbasis of H, with eigenvalues lam, this is
+    Re sum_ab exp(-i phi (lam_a - lam_b)) C_x[a, b] with C_x[a, b] =
+    rho_ab (Pi_x)_ba: one product per block of GRID_BLOCK grid points.
+    """
     rho = channel_apply(ch, psi).matrix
     lam, v = h.eig.eigenvalues, h.eig.eigenvectors
-    rho_eig = dagger(v) @ rho @ v
-    els_eig = [dagger(v) @ e @ v for e in povm.elements]
+    vd = dagger(v)
+    c = ((vd @ rho @ v) * (vd @ povm.stack @ v).swapaxes(1, 2)).reshape(len(povm.stack), -1)
+    gaps = np.subtract.outer(lam, lam).ravel()
     phis = np.asarray(phis, dtype=float)
-    probs = np.empty((len(phis), len(els_eig)))
-    for i, phi in enumerate(phis):
-        phase = np.exp(-1j * phi * lam)
-        rho_phi = (phase[:, None] * rho_eig) * phase.conj()[None, :]
-        for x, e in enumerate(els_eig):
-            probs[i, x] = float(np.real(np.trace(rho_phi @ e)))
+    probs = np.empty((len(phis), len(c)))
+    for start in range(0, len(phis), GRID_BLOCK):
+        block = phis[start:start + GRID_BLOCK]
+        probs[start:start + GRID_BLOCK] = (np.exp(-1j * np.outer(block, gaps)) @ c.T).real
     return DiscreteModel(phis, probs)
 
 
@@ -143,17 +152,18 @@ def _prior_on_grid(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
     return prior.pdf(phis)
 
 
+def _smoothed(model: DiscreteModel, prior: GaussianPrior):
+    """The prior on the grid, as a column, and the smoothed outcome
+    probabilities int g(phi) p_phi(x) dphi, by trapezoidal quadrature."""
+    g = _prior_on_grid(model, prior)[:, None]
+    return g, np.trapezoid(g * model.probs, model.phis, axis=0)
+
+
 def bayes_best_estimator(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
     """Conditional-mean estimator per outcome, by trapezoidal quadrature."""
-    g = _prior_on_grid(model, prior)
-    phis = model.phis
-    est = np.zeros(model.probs.shape[1])
-    for x in range(model.probs.shape[1]):
-        p = model.probs[:, x]
-        denom = np.trapezoid(g * p, phis)
-        if denom >= 1e-300:
-            est[x] = np.trapezoid(g * p * phis, phis) / denom
-    return est
+    g, denom = _smoothed(model, prior)
+    num = np.trapezoid(g * model.probs * model.phis[:, None], model.phis, axis=0)
+    return np.divide(num, denom, out=np.zeros_like(denom), where=denom >= 1e-300)
 
 
 def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:
@@ -163,25 +173,16 @@ def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:
     independently, from the best-estimator variance identity; a mismatch
     beyond CONSISTENCY_TOL flags quadrature inadequacy.
     """
-    g = _prior_on_grid(model, prior)
-    phis = model.phis
-    dprobs = np.gradient(model.probs, phis, axis=0)
-    direct = 0.0
-    via_estimator = 0.0
+    g, denom = _smoothed(model, prior)
+    num = np.trapezoid(g * np.gradient(model.probs, model.phis, axis=0), model.phis, axis=0)
     est = bayes_best_estimator(model, prior)
-    var2 = prior.delta_prior ** 2
-    for x in range(model.probs.shape[1]):
-        p = model.probs[:, x]
-        denom = np.trapezoid(g * p, phis)
-        if denom < 1e-300:
-            continue
-        num = np.trapezoid(g * dprobs[:, x], phis)
-        direct += num * num / denom
-        via_estimator += denom * (est[x] / var2) ** 2
+    on = denom >= 1e-300
+    direct = float(np.sum(num[on] ** 2 / denom[on]))
+    via_estimator = float(np.sum(denom[on] * (est[on] / prior.delta_prior ** 2) ** 2))
     mismatch = abs(direct - via_estimator)
     if mismatch > CONSISTENCY_TOL * max(1.0, abs(direct)):
         raise NumericError(
             f"Bayesian Fisher information routes disagree by {mismatch:.3e}; "
             "refine the parameter grid"
         )
-    return float(direct)
+    return direct

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -40,6 +40,9 @@ POVM_PRESETS = {
     "sigma_y": lambda dim: ch_presets.pauli_basis_povm("y"),
     "sigma_z": lambda dim: ch_presets.pauli_basis_povm("z"),
 }
+
+# the OptimizerConfig fields a problem file sets, and reports echo
+OPTIMIZER_FIELDS = ("tol", "max_iters", "eps_rank", "eps_deg", "restarts", "seed", "init_mode")
 
 _KINDS = ("a vector", "a square matrix", "a list of square matrices", "a list of matrix pairs")
 
@@ -183,7 +186,7 @@ def decode_povm(spec, dim: int) -> Povm:
     labels = spec.get("labels", [])
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError("POVM labels must be a list of strings")
-    return Povm(tuple(_array(spec["elements"], "POVM elements", 3)), tuple(labels))
+    return Povm(_array(spec["elements"], "POVM elements", 3), tuple(labels))
 
 
 def decode_derivative_channel(spec, dim: int, channel: QuantumChannel,
@@ -212,7 +215,7 @@ def decode_derivative_channel(spec, dim: int, channel: QuantumChannel,
 
 
 def decode_bayes(spec) -> BayesSpec:
-    spec = _object(spec, "bayes", (), ("delta_prior", "grid_halfwidth", "grid_points", "sweep"))
+    spec = _object(spec, "bayes", (), [f.name for f in fields(BayesSpec)])
     kwargs = {k: _number(v, f"bayes {k}", k == "grid_points")
               for k, v in spec.items() if k != "sweep"}
     if "sweep" in spec:
@@ -223,8 +226,7 @@ def decode_bayes(spec) -> BayesSpec:
 
 
 def decode_optimizer(spec, input_state) -> OptimizerConfig:
-    kwargs = dict(_object(spec, "optimizer", (), ("tol", "max_iters", "eps_rank", "eps_deg",
-                                                  "restarts", "seed", "init_mode")))
+    kwargs = dict(_object(spec, "optimizer", (), OPTIMIZER_FIELDS))
     if kwargs.get("init_mode") == "user_supplied":
         if input_state is None:
             raise ValidationError("init_mode 'user_supplied' requires an input_state")
@@ -294,26 +296,13 @@ def emit_problem(pf: ProblemFile) -> str:
         "channel": {"kraus": encode_array(pf.channel.stack)},
     }
     if pf.povm is not None:
-        doc["povm"] = {
-            "elements": [encode_array(e) for e in pf.povm.elements],
-            "labels": list(pf.povm.labels),
-        }
+        doc["povm"] = {"elements": encode_array(pf.povm.stack), "labels": list(pf.povm.labels)}
     if pf.input_state is not None:
         doc["input_state"] = encode_array(pf.input_state.amplitudes)
     if pf.derivative_channel is not None:
         pairs = pf.derivative_channel.stack.swapaxes(0, 1)  # [A_k, B_k] pairs
         doc["derivative_channel"] = {"terms": encode_array(pairs)}
-    cfg = pf.optimizer
-    doc["optimizer"] = {
-        "tol": cfg.tol, "max_iters": cfg.max_iters, "eps_rank": cfg.eps_rank,
-        "eps_deg": cfg.eps_deg, "restarts": cfg.restarts, "seed": cfg.seed,
-        "init_mode": cfg.init_mode,
-    }
+    doc["optimizer"] = {k: getattr(pf.optimizer, k) for k in OPTIMIZER_FIELDS}
     if pf.bayes is not None:
-        doc["bayes"] = {
-            "delta_prior": pf.bayes.delta_prior,
-            "grid_halfwidth": pf.bayes.grid_halfwidth,
-            "grid_points": pf.bayes.grid_points,
-            "sweep": list(pf.bayes.sweep),
-        }
+        doc["bayes"] = asdict(pf.bayes)
     return json.dumps(doc, indent=2, sort_keys=True)

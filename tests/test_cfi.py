@@ -176,3 +176,55 @@ class TestDataProcessing:
             stats = outcome_statistics(rho, h, povm)
             d = optimal_d(rho, h, povm)
             assert abs(np.sum(stats.probs * d.values)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stack products against per-element loops
+
+
+def _loop_outcome_statistics(rho, h, povm):
+    drho = -1j * (h.matrix @ rho.matrix - rho.matrix @ h.matrix)
+    probs = [np.real(np.trace(rho.matrix @ e)) for e in povm.elements]
+    dprobs = [np.real(np.trace(drho @ e)) for e in povm.elements]
+    return np.array(probs), np.array(dprobs)
+
+
+def _loop_x_moment(d, povm, j):
+    out = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for c, e in zip(d.values, povm.elements):
+        out += (c ** j) * e
+    return 0.5 * (out + out.conj().T)
+
+
+def _stack_cases():
+    """(rho, h, povm): n != d both ways, n = 1, and an outcome that rho
+    never gives (a zero element, and the kernel of a projector)."""
+    rng = np.random.default_rng(41)
+    cases = [(random_density(d, rng), random_hermitian(d, rng), random_povm(d, rng, n))
+             for d, n in ((3, 7), (5, 2), (4, 4))]
+    cases.append((random_density(3, rng), random_hermitian(3, rng), Povm((np.eye(3),))))
+    povm = random_povm(3, rng, 4)
+    cases.append((random_density(3, rng), random_hermitian(3, rng),
+                  Povm(povm.elements + (np.zeros((3, 3)),))))
+    cases.append((DensityMatrix(np.diag([1.0, 0.0, 0.0])), random_hermitian(3, rng),
+                  basis_povm(3)))
+    return cases
+
+
+class TestStackAgainstLoops:
+    @pytest.mark.parametrize("case", range(6))
+    def test_outcome_statistics(self, case):
+        rho, h, povm = _stack_cases()[case]
+        stats = outcome_statistics(rho, h, povm)
+        probs, dprobs = _loop_outcome_statistics(rho, h, povm)
+        np.testing.assert_allclose(stats.probs, probs, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(stats.dprobs, dprobs, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_x_moments(self, case):
+        rho, h, povm = _stack_cases()[case]
+        d = optimal_d(rho, h, povm)
+        for j in (1, 2):
+            want = _loop_x_moment(d, povm, j)
+            np.testing.assert_allclose(x_moment(d, povm, j).matrix, want,
+                                       rtol=1e-14, atol=1e-14 * max(1.0, np.abs(want).max()))

@@ -30,7 +30,7 @@ from qfimax import (
 )
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_part
 
-from helpers import random_channel, random_density, random_hermitian
+from helpers import random_channel, random_density, random_hermitian, random_povm
 
 I2 = np.eye(2, dtype=complex)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -370,6 +370,75 @@ class TestStackedMaps:
             QuantumChannel((I2, np.eye(3)))
         with pytest.raises(ValidationError, match="equal shape"):
             DerivativeChannel(((I2, I2), (np.eye(3), np.eye(3))))
+
+    def test_povm_holds_one_read_only_copy(self):
+        povm = random_povm(3, np.random.default_rng(6), 5)
+        assert povm.stack.shape == (5, 3, 3) and not povm.stack.flags.writeable
+        assert all(np.shares_memory(e, povm.stack) and not e.flags.writeable
+                   for e in povm.elements)
+
+    def test_povm_rejects_mixed_and_non_square_elements(self):
+        with pytest.raises(ValidationError, match="one shape"):
+            Povm((I2, np.eye(3)))
+        with pytest.raises(ValidationError, match="square"):
+            Povm((np.ones((2, 3)) / 3.0, np.ones((2, 3)) / 3.0))
+        with pytest.raises(ValidationError, match="one shape"):
+            Povm((I2, np.ones(2)))
+
+
+def _loop_validate_povm(povm):
+    """Per-element POVM checks, in the order validate reports them."""
+    out, s = [], np.zeros((povm.dim, povm.dim), dtype=complex)
+    for lbl, e in zip(povm.labels, povm.elements):
+        s += e
+        r = np.max(np.abs(e - e.conj().T))
+        if not r <= 1e-12:
+            out.append((f"POVM element '{lbl}' hermiticity", r))
+        else:
+            wmin = np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T)))
+            if not wmin >= -1e-10:
+                out.append((f"POVM element '{lbl}' positivity", -wmin))
+    r = np.max(np.abs(s - np.eye(povm.dim)))
+    if not r <= 1e-10:
+        out.append(("POVM completeness", r))
+    return out
+
+
+class TestValidatePovm:
+    def _check(self, povm):
+        got = [(v.invariant, v.residual) for v in validate(povm)]
+        want = _loop_validate_povm(povm)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        np.testing.assert_allclose([g[1] for g in got], [w[1] for w in want],
+                                   rtol=1e-14, atol=1e-15)
+        return got
+
+    @pytest.mark.parametrize("d, n", [(3, 7), (5, 2), (2, 1)])
+    def test_valid_povms(self, d, n):
+        rng = np.random.default_rng(d * 10 + n)
+        povm = random_povm(d, rng, n) if n > 1 else Povm((np.eye(d),))
+        assert self._check(povm) == []
+
+    def test_each_invariant_against_the_loop(self):
+        rng = np.random.default_rng(8)
+        els = list(random_povm(3, rng, 4).elements)
+        els[1] = els[1] + 1e-6 * np.triu(np.ones((3, 3)), 1)  # not Hermitian
+        els[2] = els[2] - 0.5 * np.eye(3)  # not positive
+        assert [v[0] for v in self._check(Povm(tuple(els), ("a", "b", "c", "d")))] == [
+            "POVM element 'b' hermiticity", "POVM element 'c' positivity", "POVM completeness"]
+
+    def test_nan_element_next_to_non_hermitian_element(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        nan = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
+        neg = np.diag([1.5, -0.5]).astype(complex)
+        povm = Povm((skew, nan, neg, I2), ("s", "n", "m", "i"))
+        self._check(povm)
+        got = validate(povm)
+        assert [v.invariant for v in got] == [
+            "POVM element 's' hermiticity", "POVM element 'n' hermiticity",
+            "POVM element 'm' positivity", "POVM completeness"]
+        assert got[0].residual == pytest.approx(0.1) and np.isnan(got[1].residual)
+        assert got[2].residual == pytest.approx(0.5) and np.isnan(got[3].residual)
 
 
 def _hermitian_basis(dim: int):

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from qfimax import (
     variational_value,
 )
 from qfimax import operators
+from qfimax.optimizer import run_alternating
+from qfimax.problem import parse_problem
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -35,6 +39,7 @@ I2 = np.eye(2, dtype=complex)
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
 FAST = OptimizerConfig(restarts=2, max_iters=200, seed=20)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 class TestObjectiveG:
@@ -236,6 +241,31 @@ class TestOptimize:
             y = random_hermitian(2, rng, scale=0.3)
             perturbed = HermitianOperator(l.matrix + y.matrix)
             assert variational_value(psi, perturbed, ch, H_Z) <= best + 1e-9
+
+
+class TestRestartTies:
+    @staticmethod
+    def _ending_at(values):
+        """A stub update whose restart k holds f = values[k] for two steps."""
+        fs = iter(np.repeat(values, 2))
+        m = HermitianOperator(np.diag([0.0, 1.0]))
+        return lambda rho_n, psi_n: (float(next(fs)), m, 0)
+
+    @pytest.mark.parametrize("values, winner", [([1.0, 1.0 + 1e-15, 1.0 + 1e-9], 2),
+                                                ([1.0, 1.0 + 1e-15], 0)])
+    def test_lowest_index_wins_within_the_window(self, values, winner):
+        cfg = OptimizerConfig(restarts=len(values), max_iters=5)
+        result = run_alternating(identity_channel(2), cfg, self._ending_at(values))
+        assert result.restart_values == tuple(values)
+        assert result.f_star == values[winner]
+
+    def test_degenerate_optimum_keeps_first_restart(self):
+        pf = parse_problem((PROBLEMS / "dephasing_08.json").read_bytes())
+        assert pf.optimizer.restarts == 8
+        many = optimize(pf.channel, pf.generator, pf.optimizer)
+        one = optimize(pf.channel, pf.generator, dataclasses.replace(pf.optimizer, restarts=1))
+        assert np.array_equal(many.psi_star.amplitudes, one.psi_star.amplitudes)
+        assert many.f_star == one.f_star
 
 
 class TestGeneralObjective:

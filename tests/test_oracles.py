@@ -8,6 +8,7 @@ from qfimax import (
     NumericError,
     PureState,
     ValidationError,
+    Povm,
     bayes_best_estimator,
     bayes_gaussian_fi,
     brute_force_max_qfi,
@@ -21,9 +22,10 @@ from qfimax import (
     pure_state_qfi,
     unitary_channel,
 )
-from qfimax.operators import SIGMA_Z
+from qfimax.operators import SIGMA_Z, haar_state
+from qfimax.oracles import MAX_GRID_POINTS
 
-from helpers import random_channel, random_hermitian
+from helpers import random_channel, random_hermitian, random_povm
 
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -160,3 +162,80 @@ class TestOracleConsistency:
         bayes = bayes_gaussian_fi(model, prior)
         direct = classical_fi(outcome_statistics(channel_apply(ch, PLUS.projector()), H_Z, povm))
         assert bayes == pytest.approx(direct, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# grid products against per-point and per-outcome loops
+
+
+def _loop_model(ch, h, psi, povm, phis):
+    rho = channel_apply(ch, psi).matrix
+    lam, v = h.eig.eigenvalues, h.eig.eigenvectors
+    vd = v.conj().T
+    rho_eig = vd @ rho @ v
+    els_eig = [vd @ e @ v for e in povm.elements]
+    probs = np.empty((len(phis), len(els_eig)))
+    for i, phi in enumerate(phis):
+        phase = np.exp(-1j * phi * lam)
+        rho_phi = (phase[:, None] * rho_eig) * phase.conj()[None, :]
+        for x, e in enumerate(els_eig):
+            probs[i, x] = np.real(np.trace(rho_phi @ e))
+    return probs
+
+
+def _loop_bayes(model, prior):
+    """(best estimator, direct Fisher information), one outcome at a time."""
+    phis = model.phis
+    g = prior.pdf(phis)
+    dprobs = np.gradient(model.probs, phis, axis=0)
+    est = np.zeros(model.probs.shape[1])
+    direct = 0.0
+    for x in range(model.probs.shape[1]):
+        p = model.probs[:, x]
+        denom = np.trapezoid(g * p, phis)
+        if denom >= 1e-300:
+            est[x] = np.trapezoid(g * p * phis, phis) / denom
+            num = np.trapezoid(g * dprobs[:, x], phis)
+            direct += num * num / denom
+    return est, direct
+
+
+def _grid_cases():
+    """(channel, generator, input, POVM): n != d both ways, n = 1, and an
+    outcome of zero probability on the whole grid (a zero element)."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for d, n in ((3, 5), (4, 2)):
+        cases.append((random_channel(d, rng, 2), random_hermitian(d, rng),
+                      haar_state(d, rng), random_povm(d, rng, n)))
+    cases.append((random_channel(2, rng), H_Z, PLUS, Povm((np.eye(2),))))
+    povm = random_povm(3, rng, 3)
+    cases.append((random_channel(3, rng), random_hermitian(3, rng), haar_state(3, rng),
+                  Povm(povm.elements + (np.zeros((3, 3)),))))
+    return cases
+
+
+class TestGridAgainstLoops:
+    @pytest.mark.parametrize("case", range(4))
+    def test_model_from_quantum(self, case):
+        ch, h, psi, povm = _grid_cases()[case]
+        # more points than one block, and a partial last block
+        phis = np.linspace(-2.0, 2.0, 2501)
+        model = model_from_quantum(ch, h, psi, povm, phis)
+        np.testing.assert_allclose(model.probs, _loop_model(ch, h, psi, povm, phis),
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_bayes_estimator_and_fisher_information(self, case):
+        ch, h, psi, povm = _grid_cases()[case]
+        prior = GaussianPrior(0.05, grid_points=2001)
+        model = model_from_quantum(ch, h, psi, povm, prior.grid())
+        est, direct = _loop_bayes(model, prior)
+        np.testing.assert_allclose(bayes_best_estimator(model, prior), est,
+                                   rtol=1e-14, atol=1e-14 * prior.delta_prior)
+        assert bayes_gaussian_fi(model, prior) == pytest.approx(direct, rel=1e-14, abs=1e-14)
+
+    def test_grid_points_capped(self):
+        assert GaussianPrior(0.1, grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match="at most"):
+            GaussianPrior(0.1, grid_points=MAX_GRID_POINTS + 2)

@@ -230,6 +230,9 @@ class TestCliExitCodes:
          {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "gridpoints": 2001}}, []),
         ("number-sweep", "bayes-check",
          {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "sweep": 5}}, []),
+        # rejected before the grid is allocated
+        ("huge-grid-points", "bayes-check",
+         {"bayes": {"delta_prior": 1e-3, "grid_points": 100000001}}, []),
         ("fractional-max-iters", "qfi-max", {"optimizer": {"max_iters": 2.5}}, []),
         ("string-restarts", "qfi-max", {"optimizer": {"restarts": "3"}}, []),
         ("negative-seed-file", "qfi-max", {"optimizer": {"seed": -1}}, []),
