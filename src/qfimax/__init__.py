@@ -65,6 +65,7 @@ from .oracles import (
     bayes_best_estimator,
     bayes_gaussian_fi,
     brute_force_max_qfi,
+    eigenbasis_qfi,
     model_from_quantum,
     pure_state_qfi,
 )

@@ -19,6 +19,7 @@ from .operators import (
     channel_adjoint_apply,
     hermitian_commutator,
     hermitian_part,
+    mixture,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
 
@@ -137,7 +138,8 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
     if ch.dim_out != h.dim or povm.dim != h.dim:
         raise ValidationError("generator, POVM and channel output dimensions must match")
 
-    def update(rho_n, psi_n):
+    def update(w, psi_n):
+        rho_n = mixture(w)
         stats = outcome_statistics(rho_n, h, povm)
         d = _optimal_d_from_stats(stats)
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))

@@ -264,6 +264,27 @@ class EigenDecomposition:
 
 
 @dataclass(frozen=True)
+class FactoredOperator:
+    """The Hermitian operator sum_k C_k^dag g C_k on C^n, held as the
+    (r, m, n) stack `factors` of the C_k and the m x m Hermitian `core` g,
+    without forming it. Lambda^dag(G) is the case C = the Kraus stack,
+    g = G; a compressed one has C_k = Q^dag K_k, g = Q^dag G Q for G
+    supported on the range of an isometry Q."""
+
+    factors: np.ndarray
+    core: HermitianOperator
+
+    def __post_init__(self):
+        if self.factors.ndim != 3 or self.factors.shape[1] != self.core.dim:
+            raise DimensionMismatch(
+                f"factors of shape {self.factors.shape} do not match a core of dim {self.core.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[2]
+
+
+@dataclass(frozen=True)
 class Violation:
     """One failed invariant with its measured residual."""
 
@@ -331,18 +352,28 @@ def _kraus_gram(stack: np.ndarray) -> np.ndarray:
     return (p[:, 0, :, 0] + p[:, 1, :, 1]) + 1j * (p[:, 0, :, 1] - p[:, 1, :, 0])
 
 
+def kraus_images(ch: QuantumChannel, psi: PureState) -> np.ndarray:
+    """The (r, dim_out) stack of the vectors w_k = K_k psi, so that
+    Lambda(|psi><psi|) = W W^dag with the w_k as the columns of W."""
+    if ch.dim_in != psi.dim:
+        raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {psi.dim}")
+    return _stack_times(ch.stack, psi.amplitudes)
+
+
+def mixture(w: np.ndarray) -> DensityMatrix:
+    """sum_k |w_k><w_k| for an (r, d) stack of vectors w_k."""
+    return DensityMatrix(hermitian_part(w.T @ w.conj()))
+
+
 def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
     """Schroedinger-picture action sum_k K rho K^dag of a DensityMatrix
     rho, or of |psi><psi| given the PureState psi, which is computed as
-    W W^dag with the columns of W the vectors K_k psi."""
+    W W^dag from its kraus_images W."""
+    if isinstance(rho, PureState):
+        return mixture(kraus_images(ch, rho))
     if ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
-    if isinstance(rho, PureState):
-        w = _stack_times(ch.stack, rho.amplitudes)
-        out = w.T @ w.conj()
-    else:
-        out = _sandwich(ch.stack, rho.matrix, ch.stack)
-    return DensityMatrix(hermitian_part(out))
+    return DensityMatrix(hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack)))
 
 
 def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> HermitianOperator:
@@ -374,6 +405,19 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
     return HermitianOperator(hermitian_part(out))
 
 
+def _phase_fixed(v: np.ndarray) -> np.ndarray:
+    """The columns of v, each multiplied by the phase that makes its
+    largest-magnitude component real and positive (ties broken by lowest
+    index)."""
+    # argmax returns the lowest index among tied magnitudes
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
+    size = np.hypot(pivot.real, pivot.imag)
+    phase = np.ones_like(pivot)
+    np.divide(pivot.conj(), size, out=phase, where=size > 0)
+    return v * phase
+
+
 def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
@@ -381,17 +425,30 @@ def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     if a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     w, v = np.linalg.eigh(a.matrix)
-    # argmax returns the lowest index among tied magnitudes
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
-    size = np.hypot(pivot.real, pivot.imag)
-    phase = np.ones_like(pivot)
-    np.divide(pivot.conj(), size, out=phase, where=size > 0)
-    return EigenDecomposition(w, v * phase)
+    return EigenDecomposition(w, _phase_fixed(v))
 
 
-def max_eigvec(a: HermitianOperator, eps_deg: float = 1e-9):
-    """Top eigenvector and a flag for a (near-)degenerate top eigenvalue."""
+def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
+    """Top eigenvector and a flag for a (near-)degenerate top eigenvalue.
+
+    A FactoredOperator sum_k C_k^dag g C_k ((r, m, n) stack C) with
+    r*m < n is not formed: with the thin QR C^dag = P R of the flattened
+    (r*m, n) stack, it is P S P^dag with S = R (1_r (x) g) R^dag, so its
+    top eigenvector is P u for the top eigenvector u of the (r*m)-sized S,
+    phase-fixed as hermitian_eig does. Its other eigenvalues are those of
+    S and the 0 of the kernel of C, which the degeneracy flag counts.
+    """
+    if isinstance(a, FactoredOperator):
+        r, m, n = a.factors.shape
+        if r * m >= n:
+            a = HermitianOperator(hermitian_part(_adjoint_sandwich(a.factors, a.core.matrix, a.factors)))
+        else:
+            p, rr = np.linalg.qr(dagger(a.factors.reshape(r * m, n)))
+            s = rr @ (a.core.matrix @ dagger(rr).reshape(r, m, r * m)).reshape(r * m, r * m)
+            eig = hermitian_eig(HermitianOperator(hermitian_part(s)))
+            w = eig.eigenvalues
+            v = _phase_fixed(p @ eig.eigenvectors[:, -1:])[:, 0]
+            return PureState(v), bool(w[-1] - np.max(w[-2:-1], initial=0.0) <= eps_deg)
     eig = hermitian_eig(a)
     w = eig.eigenvalues
     v = eig.eigenvectors[:, -1]
@@ -472,11 +529,22 @@ def density_violations(m: np.ndarray) -> list:
     return out
 
 
+def check_density_spectrum(lam: np.ndarray) -> None:
+    """Raise ValidationError unless the ascending eigenvalues lam of a
+    density matrix are all at least -EPS_PSD and the largest is positive."""
+    if not lam[0] >= -EPS_PSD:
+        raise_violations([Violation("density matrix positivity", -float(lam[0]))], "density matrix")
+    if not lam[-1] > 0.0:
+        raise ValidationError("density matrix has no positive eigenvalue")
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def validate(obj):
     """Check all type invariants; return a list of Violation diagnostics.
 
     Empty list means the object is valid within the EPS_* tolerances. A
-    non-finite residual (NaN or infinite entries) counts as a violation.
+    non-finite residual (NaN or infinite entries) counts as a violation;
+    numpy's warnings on computing it are silenced.
     """
     out = []
     if isinstance(obj, DensityMatrix):

@@ -15,23 +15,27 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .operators import (
     DerivativeChannel,
+    FactoredOperator,
     HermitianOperator,
     PureState,
     QuantumChannel,
     channel_adjoint_apply,
-    channel_apply,
+    dagger,
     derivative_adjoint_apply,
     haar_state,
     hermitian_commutator,
     hermitian_part,
+    kraus_images,
     max_abs,
     max_eigvec,
+    mixture,
 )
 from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
+COMPRESS_MIN_DIM = 24  # smallest output dimension at which a covariant step is compressed
 
 
 @dataclass(frozen=True)
@@ -122,25 +126,50 @@ def general_objective(
 
 def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
                      n: int, h: HermitianOperator | None = None):
-    """One alternating step. update(rho_n, psi_n) returns (f_n, M, rank
-    deficit) for the best argument given the output rho_n, where M is the
-    objective operator that argument defines; the next state is the top
+    """One alternating step. update(w, psi_n) returns (f_n, M, rank
+    deficit) for the best argument given the output rho_n = W W^dag, with
+    w = kraus_images(ch, psi_n) the (r, dim_out) stack of the columns of
+    W, where M is the objective operator that argument defines (a
+    HermitianOperator or a FactoredOperator); the next state is the top
     eigenvector of M. Reducibility is tested only against a generator h."""
-    rho_n = channel_apply(ch, psi_n)
-    f_n, m, rank_deficit = update(rho_n, psi_n)
+    w = kraus_images(ch, psi_n)
+    f_n, m, rank_deficit = update(w, psi_n)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
-    irreducible = None if h is None else is_irreducible(rho_n, h, cfg.eps_deg)
+    irreducible = None if h is None else is_irreducible(w, h, cfg.eps_deg)
     return psi_next, IterationRecord(n=n, f=f_n, psi=psi_n, degenerate_step=degenerate,
                                      sld_rank_deficit=rank_deficit, irreducible=irreducible)
 
 
 def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
-    """Covariant update: the SLD L of the output and M = Lambda^dag(G(L))."""
+    """Covariant update: the SLD L of the output rho and M = Lambda^dag(G(L)).
 
-    def update(rho_n, psi_n):
-        res = sld(rho_n, h, cfg.eps_rank)
-        m = channel_adjoint_apply(ch, objective_g(res.L, h))
-        return qfi_from_sld(rho_n, res), m, res.support_dim_deficit
+    rho = W W^dag has rank at most r, so L lives in span{W, HW} and
+    G(L) = -L^2 + 2i[H, L] in span{W, HW, H^2 W}. With Q an orthonormal
+    basis of that span (m = 3r columns, from one QR), the SLD and G are
+    taken on the compressed output Q^dag rho Q with generator Q^dag H Q,
+    and M = sum_k C_k^dag g C_k with C_k = Q^dag K_k and g = Q^dag G Q,
+    whose top eigenvector max_eigvec takes from its (r*m)-sized small
+    side when r*m < dim_in. Q = 1, the SLD of the full
+    output and M = Lambda^dag(G(L)), unless m <= dim_out / 2 and dim_out
+    >= COMPRESS_MIN_DIM: below that the QR and the extra products cost
+    more than the smaller eigensolves save.
+    """
+    r, d_out, _ = ch.stack.shape
+    compress = d_out >= COMPRESS_MIN_DIM and 6 * r <= d_out
+
+    def update(w, psi_n):
+        if compress:
+            x = w.T
+            hx = h.matrix @ x
+            q = np.linalg.qr(np.hstack((x, hx, h.matrix @ hx)))[0]
+            qd = dagger(q)
+            rho, hq = mixture(w @ q.conj()), HermitianOperator(hermitian_part(qd @ h.matrix @ q))
+            factors = np.matmul(qd, ch.stack)
+        else:
+            rho, hq, factors = mixture(w), h, ch.stack
+        res = sld(rho, hq, cfg.eps_rank)
+        m = FactoredOperator(factors, objective_g(res.L, hq))
+        return qfi_from_sld(rho, res), m, d_out - res.rank
 
     return update
 
@@ -218,7 +247,8 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
 
-    def update(rho_n, psi_n):
+    def update(w, psi_n):
+        rho_n = mixture(w)
         dsigma = dch.apply(psi_n)
         scale = max(1.0, max_abs(dsigma))
         if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:

@@ -15,15 +15,20 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .operators import (
+    EPS_HERM,
+    EPS_PSD,
+    EPS_TRACE,
     HermitianOperator,
     Povm,
     PureState,
     QuantumChannel,
     channel_apply,
+    check_density_spectrum,
     dagger,
-    haar_state,
+    density_violations,
+    raise_violations,
 )
-from .sld import qfi
+from .optimizer import EPS_TIE
 
 # 45 x 80 polar/azimuthal qubit grid; the odd polar count puts the equator
 # (where covariant-phase optima live) exactly on the grid
@@ -31,6 +36,8 @@ BLOCH_GRID_SHAPE = (45, 80)
 CONSISTENCY_TOL = 1e-6  # relative disagreement of the two Bayesian routes
 MAX_GRID_POINTS = 100001  # largest Bayesian parameter grid
 GRID_BLOCK = 1024  # grid points per product in model_from_quantum
+EPS_RANK = 1e-12  # eigenvalue pair sums at most this times the largest are left out
+ORACLE_BLOCK_ENTRIES = 1 << 12  # matrix entries per block of outputs in brute_force_max_qfi
 
 
 @dataclass(frozen=True)
@@ -89,34 +96,71 @@ def pure_state_qfi(psi: PureState, h: HermitianOperator) -> float:
     return 4.0 * max(second - mean * mean, 0.0)
 
 
-def bloch_state(theta: float, phi: float) -> PureState:
-    return PureState(np.array([math.cos(theta / 2.0),
-                               complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]))
+def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """QFI of each density matrix of the (..., d, d) stack rho for the
+    generator matrix h, from rho's eigenbasis (Paris, Int. J. Quantum Inf.
+    7, 125 (2009)): F = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2,
+    summed over the pairs with l_i + l_j > EPS_RANK * l_max, which are the
+    pairs outside the SLD solver's null block at its default eps_rank.
+
+    Each matrix is checked as a density matrix, as the SLD solver does;
+    the first that fails raises ValidationError with the solver's message.
+    """
+    rho = np.asarray(rho)
+    flat = rho.reshape((-1,) + rho.shape[-2:])
+    herm = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.trace(flat, axis1=1, axis2=2)
+    trace = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    lam, v = np.linalg.eigh(flat)
+    bad = ~((herm <= EPS_HERM) & (trace <= EPS_TRACE) & (lam[:, 0] >= -EPS_PSD) & (lam[:, -1] > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise_violations(density_violations(flat[i]), "density matrix")
+        check_density_spectrum(lam[i])
+    hv = v.conj().swapaxes(1, 2) @ h @ v
+    pair = lam[:, :, None] + lam[:, None, :]
+    on = pair > EPS_RANK * lam[:, -1:, None]
+    terms = (lam[:, :, None] - lam[:, None, :]) ** 2 / np.where(on, pair, 1.0) * np.abs(hv) ** 2
+    return 2.0 * np.where(on, terms, 0.0).sum(axis=(1, 2)).reshape(rho.shape[:-2])
+
+
+def bloch_grid() -> np.ndarray:
+    """The BLOCH_GRID_SHAPE polar x azimuthal grid of qubit states
+    cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, polar angle slowest, as
+    the rows of an (n, 2) array."""
+    n_theta, n_phi = BLOCH_GRID_SHAPE
+    theta = np.repeat(np.linspace(0.0, math.pi, n_theta), n_phi) / 2.0
+    phi = np.tile(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), n_theta)
+    return np.stack((np.cos(theta), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(theta)), axis=1)
 
 
 def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
                         n_samples: int = 10000, seed: int = 0):
     """Max of QFI(Lambda(|psi><psi|)) over Haar samples; for qubits a
-    deterministic Bloch-sphere grid is searched as well."""
+    deterministic Bloch-sphere grid is searched first.
+
+    The probes are evaluated in blocks of outputs of at most
+    ORACLE_BLOCK_ENTRIES entries, by eigenbasis_qfi. The first probe
+    within EPS_TIE (relative) of the maximum is returned, with its value.
+    """
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    best_val, best_psi = -1.0, None
-
-    def consider(psi):
-        nonlocal best_val, best_psi
-        val = qfi(channel_apply(ch, psi), h)
-        if val > best_val:
-            best_val, best_psi = val, psi
-
+    # one draw holds the same stream as n_samples calls of haar_state
+    z = np.random.default_rng(seed).standard_normal((n_samples, 2, ch.dim_in))
+    z = z[:, 0] + 1j * z[:, 1]
+    probes = z / np.linalg.norm(z, axis=1, keepdims=True)
     if ch.dim_in == 2:
-        n_theta, n_phi = BLOCH_GRID_SHAPE
-        for theta in np.linspace(0.0, math.pi, n_theta):
-            for phi in np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False):
-                consider(bloch_state(theta, phi))
-    for _ in range(n_samples):
-        consider(haar_state(ch.dim_in, rng))
-    return best_val, best_psi
+        probes = np.concatenate((bloch_grid(), probes))
+    block = max(1, ORACLE_BLOCK_ENTRIES // ch.dim_out ** 2)
+    values = np.empty(len(probes))
+    for start in range(0, len(probes), block):
+        w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 1, 0)
+        rho = w @ w.conj().swapaxes(1, 2)
+        values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
+                                                     h.matrix)
+    best = float(np.max(values))
+    i = int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
+    return float(values[i]), PureState(probes[i])
 
 
 def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
-    EPS_PSD,
     DensityMatrix,
     HermitianOperator,
-    Violation,
+    check_density_spectrum,
     dagger,
     density_violations,
     hermitian_commutator,
@@ -54,11 +53,8 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
         raise ValidationError(f"dimension mismatch: rho {rho.dim}, rhs {r.dim}")
     eig = hermitian_eig(HermitianOperator(rho.matrix))
     lam, v = eig.eigenvalues, eig.eigenvectors
-    if not lam[0] >= -EPS_PSD:
-        raise_violations([Violation("density matrix positivity", -float(lam[0]))], "density matrix")
+    check_density_spectrum(lam)
     lam_max = float(lam[-1])
-    if lam_max <= 0.0:
-        raise ValidationError("density matrix has no positive eigenvalue")
 
     r_eig = dagger(v) @ r.matrix @ v
     denom = lam[:, None] + lam[None, :]
@@ -89,15 +85,19 @@ def qfi_from_sld(rho: DensityMatrix, res: SldResult) -> float:
     return max(value, 0.0)
 
 
-def is_irreducible(rho: DensityMatrix, h: HermitianOperator, eps: float = 1e-9) -> bool:
+def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: float = 1e-9) -> bool:
     """True iff rho couples all eigenspaces of H into a single block.
 
     Eigenvalues of H within eps of each other are treated as one
     eigenspace; eigenspaces are connected when rho has a matrix element
     of magnitude above eps between them. Reducibility means rho and H
     share a proper invariant subspace built from H eigenspaces, which can
-    trap the alternating iteration inside one block. H's eigenbasis is
+    trap the alternating iteration inside one block. H's eigenbasis V is
     computed once per generator (HermitianOperator.eig).
+
+    rho is a DensityMatrix, or the (r, d) stack of the vectors w_k of
+    rho = sum_k |w_k><w_k| (a channel output's kraus_images), which is
+    read as V^dag W in O(r d^2) without forming rho.
     """
     lam, v = h.eig.eigenvalues, h.eig.eigenvectors
     # ascending eigenvalues closer than eps to their neighbour share a group
@@ -106,7 +106,11 @@ def is_irreducible(rho: DensityMatrix, h: HermitianOperator, eps: float = 1e-9) 
     if n_groups == 1:
         return True
 
-    rho_eig = dagger(v) @ rho.matrix @ v
+    if isinstance(rho, DensityMatrix):
+        rho_eig = dagger(v) @ rho.matrix @ v
+    else:
+        b = rho @ v.conj()  # row k: (V^dag w_k)^T
+        rho_eig = b.T @ b.conj()
     coupled = np.triu(np.abs(rho_eig) > eps, 1)
     member = np.zeros((h.dim, n_groups))
     member[np.arange(h.dim), group] = 1.0

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfimax import (
+    DensityMatrix,
     DiscreteModel,
     GaussianPrior,
     HermitianOperator,
     NumericError,
     PureState,
+    QuantumChannel,
     ValidationError,
     Povm,
     bayes_best_estimator,
@@ -20,12 +23,15 @@ from qfimax import (
     outcome_statistics,
     pauli_basis_povm,
     pure_state_qfi,
+    qfi,
+    sld,
     unitary_channel,
 )
+from qfimax import oracles
 from qfimax.operators import SIGMA_Z, haar_state
-from qfimax.oracles import MAX_GRID_POINTS
+from qfimax.oracles import MAX_GRID_POINTS, eigenbasis_qfi
 
-from helpers import random_channel, random_hermitian, random_povm
+from helpers import random_channel, random_density, random_hermitian, random_povm
 
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -239,3 +245,91 @@ class TestGridAgainstLoops:
         assert GaussianPrior(0.1, grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
         with pytest.raises(ValidationError, match="at most"):
             GaussianPrior(0.1, grid_points=MAX_GRID_POINTS + 2)
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis QFI formula and the batched brute-force search
+
+
+class TestEigenbasisQfi:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 8), rank=st.integers(1, 8), seed=st.integers(0, 2**31))
+    def test_matches_sld_qfi(self, dim, rank, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(dim, rng, rank=min(rank, dim))
+        h = random_hermitian(dim, rng)
+        assert float(eigenbasis_qfi(rho.matrix, h.matrix)) == pytest.approx(qfi(rho, h), rel=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**31))
+    def test_pure_states_match_closed_form(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        psi, h = haar_state(dim, rng), random_hermitian(dim, rng)
+        assert float(eigenbasis_qfi(psi.projector().matrix, h.matrix)) == \
+            pytest.approx(pure_state_qfi(psi, h), rel=1e-10)
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6])
+    def test_eps_rank_boundary(self, side):
+        # rho = diag(l_0, t_1, t_2) with t_1 + t_2 just above or just below
+        # 1e-12 l_0, and H coupling only levels 1 and 2: the QFI is that
+        # pair's 4 (t_1 - t_2)^2 / (t_1 + t_2) above the boundary and 0 below
+        pair = side * 1e-12 / (1.0 + side * 1e-12)
+        t1 = 0.8 * pair
+        rho = DensityMatrix(np.diag([1.0 - pair, t1, pair - t1]))
+        h = HermitianOperator(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        expected = 4.0 * (2.0 * t1 - pair) ** 2 / pair if side > 1.0 else 0.0
+        assert float(eigenbasis_qfi(rho.matrix, h.matrix)) == pytest.approx(expected, rel=1e-10, abs=0)
+        assert qfi(rho, h) == pytest.approx(expected, rel=1e-10, abs=0)
+        assert sld(rho, h).rank == 1
+
+    def test_stack_of_states(self):
+        rng = np.random.default_rng(12)
+        rhos = [random_density(4, rng, rank=k) for k in (1, 2, 4)]
+        h = random_hermitian(4, rng)
+        np.testing.assert_allclose(eigenbasis_qfi(np.stack([r.matrix for r in rhos]), h.matrix),
+                                   [qfi(r, h) for r in rhos], rtol=1e-10)
+
+    def test_checks_each_state_as_the_sld_solver_does(self):
+        good = PLUS.projector().matrix
+        with pytest.raises(ValidationError, match="density matrix unit trace"):
+            eigenbasis_qfi(np.stack([good, 0.5 * good]), H_Z.matrix)
+        with pytest.raises(ValidationError, match="density matrix positivity"):
+            eigenbasis_qfi(np.stack([good, np.diag([1.5, -0.5])]), H_Z.matrix)
+
+
+class TestBatchedBruteForce:
+    def test_matches_per_probe_loop(self):
+        # the probes are the stream of n_samples haar_state calls
+        rng = np.random.default_rng(21)
+        ch, h = random_channel(3, rng, n_kraus=2), random_hermitian(3, rng)
+        val, psi = brute_force_max_qfi(ch, h, n_samples=300, seed=4)
+        probe_rng = np.random.default_rng(4)
+        probes = [haar_state(3, probe_rng) for _ in range(300)]
+        values = [qfi(channel_apply(ch, p), h) for p in probes]
+        best = int(np.argmax(values))
+        assert val == pytest.approx(values[best], rel=1e-12)
+        np.testing.assert_allclose(psi.amplitudes, probes[best].amplitudes, rtol=0, atol=1e-15)
+
+    def test_first_probe_on_a_degenerate_optimum(self):
+        # every equator point of the grid is optimal: the first, |+>, is kept
+        val, psi = brute_force_max_qfi(dephasing_channel(0.8), H_Z, n_samples=50, seed=0)
+        assert val == pytest.approx(0.64, rel=1e-14)
+        np.testing.assert_allclose(psi.amplitudes, PLUS.amplitudes, rtol=0, atol=1e-15)
+
+    def test_blocks_are_bounded(self, monkeypatch):
+        shapes = []
+
+        def recorded(rho, h):
+            shapes.append(rho.shape)
+            return eigenbasis_qfi(rho, h)
+
+        monkeypatch.setattr(oracles, "eigenbasis_qfi", recorded)
+        rng = np.random.default_rng(22)
+        brute_force_max_qfi(random_channel(64, rng, n_kraus=1), random_hermitian(64, rng),
+                            n_samples=40, seed=0)
+        assert sum(s[0] for s in shapes) == 40
+        assert max(s[0] for s in shapes) * 64 * 64 <= oracles.ORACLE_BLOCK_ENTRIES
+
+    def test_invalid_output_raises_the_solver_message(self):
+        with pytest.raises(ValidationError, match="density matrix unit trace"):
+            brute_force_max_qfi(QuantumChannel((0.5 * np.eye(2),)), H_Z, n_samples=5)
