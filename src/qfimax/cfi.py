@@ -18,7 +18,7 @@ from .operators import (
     QuantumChannel,
     channel_adjoint_apply,
     hermitian_commutator,
-    hermitian_part,
+    hermitian_operator,
     mixture,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
@@ -114,14 +114,14 @@ def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
     if d.labels != povm.labels:
         raise ValidationError("estimator labels do not match the POVM")
     out = (d.values ** j @ _real_rows(povm)).view(complex).reshape(povm.dim, povm.dim)
-    return HermitianOperator(hermitian_part(out))
+    return hermitian_operator(out)
 
 
 def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) -> HermitianOperator:
     x1 = x_moment(d, povm, 1)
     x2 = x_moment(d, povm, 2)
     op = -x2.matrix + 2j * hermitian_commutator(h.matrix, x1.matrix)
-    return HermitianOperator(hermitian_part(op))
+    return hermitian_operator(op)
 
 
 def cfi_objective(psi: PureState, d: EstimatorCoefficients, ch: QuantumChannel,
@@ -143,8 +143,9 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
         stats = outcome_statistics(rho_n, h, povm)
         d = _optimal_d_from_stats(stats)
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
-        lam = np.linalg.eigvalsh(rho_n.matrix)
-        rank = int(np.count_nonzero(lam > cfg.eps_rank * max(lam[-1], np.finfo(float).tiny)))
+        # the nonzero eigenvalues of rho_n = W W^dag are the squared singular values of W
+        lam = np.linalg.svd(w, compute_uv=False) ** 2
+        rank = int(np.count_nonzero(lam > cfg.eps_rank * max(lam[0], np.finfo(float).tiny)))
         return classical_fi(stats), m, rho_n.dim - rank
 
     return run_alternating(ch, cfg, update, h)

@@ -58,11 +58,36 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
+
+
+def _wrap(cls, **arrays):
+    """An instance of the frozen dataclass cls holding arrays the library
+    has just computed, made read-only in place: no copy and no shape check,
+    unlike the public constructors, which copy what a caller passes in."""
+    obj = object.__new__(cls)
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+    return obj
+
+
+def hermitian_operator(a: np.ndarray) -> "HermitianOperator":
+    """The HermitianOperator hermitian_part(a), without a copy. It is
+    exactly Hermitian, so hermitian_eig does not check it again."""
+    return _checked_hermitian(hermitian_part(a))
+
+
+def _checked_hermitian(m: np.ndarray) -> "HermitianOperator":
+    """HermitianOperator of a matrix whose Hermiticity the library has
+    already established, without a copy."""
+    op = _wrap(HermitianOperator, matrix=m)
+    object.__setattr__(op, "_checked", True)
+    return op
 
 
 @dataclass(frozen=True)
@@ -70,6 +95,9 @@ class HermitianOperator:
     """Finite-dimensional self-adjoint operator."""
 
     matrix: np.ndarray
+    # True on an operator whose Hermiticity the library established when
+    # it made it (not a field); hermitian_eig checks only the others
+    _checked = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
@@ -86,6 +114,14 @@ class HermitianOperator:
         """hermitian_eig of this operator, computed on first use and kept
         (the operator is immutable)."""
         return hermitian_eig(self)
+
+    def eigenspaces(self, eps: float) -> tuple:
+        """eigenspace_groups of this operator at resolution eps, computed
+        once per eps and kept (the operator is immutable)."""
+        cache = self.__dict__.setdefault("_eigenspaces", {})
+        if eps not in cache:
+            cache[eps] = eigenspace_groups(self.eig, eps)
+        return cache[eps]
 
 
 @dataclass(frozen=True)
@@ -362,7 +398,7 @@ def kraus_images(ch: QuantumChannel, psi: PureState) -> np.ndarray:
 
 def mixture(w: np.ndarray) -> DensityMatrix:
     """sum_k |w_k><w_k| for an (r, d) stack of vectors w_k."""
-    return DensityMatrix(hermitian_part(w.T @ w.conj()))
+    return _wrap(DensityMatrix, matrix=hermitian_part(w.T @ w.conj()))
 
 
 def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
@@ -373,7 +409,7 @@ def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> Density
         return mixture(kraus_images(ch, rho))
     if ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
-    return DensityMatrix(hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack)))
+    return _wrap(DensityMatrix, matrix=hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack)))
 
 
 def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> HermitianOperator:
@@ -381,7 +417,7 @@ def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> Hermitian
     if ch.dim_out != a.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {a.dim}")
     # the Hermitian part of the dagger is the Hermitian part of the sum
-    return HermitianOperator(hermitian_part(_adjoint_sandwich(ch.stack, a.matrix, ch.stack)))
+    return hermitian_operator(_adjoint_sandwich(ch.stack, a.matrix, ch.stack))
 
 
 def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> HermitianOperator:
@@ -402,30 +438,40 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
     asym = max_abs(out - dagger(out)) / scale
     if asym > EPS_ADJOINT_HERM:
         raise NumericError(f"derivative adjoint is non-Hermitian (relative asymmetry {asym:.3e})")
-    return HermitianOperator(hermitian_part(out))
+    return hermitian_operator(out)
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """The columns of v, each multiplied by the phase that makes its
+    """The unit columns of v, each multiplied by the phase that makes its
     largest-magnitude component real and positive (ties broken by lowest
-    index)."""
+    index). A unit column's largest component is nonzero; a NaN column
+    stays NaN."""
     # argmax returns the lowest index among tied magnitudes
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
     # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
-    size = np.hypot(pivot.real, pivot.imag)
-    phase = np.ones_like(pivot)
-    np.divide(pivot.conj(), size, out=phase, where=size > 0)
-    return v * phase
+    return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
 def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
-    is made real and positive (ties broken by lowest index)."""
-    if a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
+    is made real and positive (ties broken by lowest index). An operator
+    the library made is known to be Hermitian; any other is checked."""
+    if not a._checked and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     w, v = np.linalg.eigh(a.matrix)
-    return EigenDecomposition(w, _phase_fixed(v))
+    return _wrap(EigenDecomposition, eigenvalues=w, eigenvectors=_phase_fixed(v))
+
+
+def eigenspace_groups(eig: EigenDecomposition, eps: float):
+    """(starts, v_conj, upper) of an operator's eigenspaces at resolution
+    eps: ascending eigenvalues closer than eps to their neighbour share a
+    group, so each group is a run of eigenvector columns, and starts holds
+    the index of each run's first column; v_conj is the conjugated
+    eigenvector matrix and upper the mask of its strict upper triangle."""
+    lam = eig.eigenvalues
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(lam) > eps)))
+    return starts, eig.eigenvectors.conj(), np.triu(np.ones((len(lam), len(lam)), dtype=bool), 1)
 
 
 def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
@@ -434,26 +480,33 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
     A FactoredOperator sum_k C_k^dag g C_k ((r, m, n) stack C) with
     r*m < n is not formed: with the thin QR C^dag = P R of the flattened
     (r*m, n) stack, it is P S P^dag with S = R (1_r (x) g) R^dag, so its
-    top eigenvector is P u for the top eigenvector u of the (r*m)-sized S,
-    phase-fixed as hermitian_eig does. Its other eigenvalues are those of
-    S and the 0 of the kernel of C, which the degeneracy flag counts.
+    eigenvalues are those of the (r*m)-sized S and the 0 of the kernel of
+    C, of dimension n - r*m. Its top eigenvector is P u for the top
+    eigenvector u of S or, when every eigenvalue of S is negative, the
+    first kernel column of the complete QR of C^dag, phase-fixed as
+    hermitian_eig does. The degeneracy flag counts the kernel's 0.
     """
     if isinstance(a, FactoredOperator):
         r, m, n = a.factors.shape
         if r * m >= n:
-            a = HermitianOperator(hermitian_part(_adjoint_sandwich(a.factors, a.core.matrix, a.factors)))
+            a = hermitian_operator(_adjoint_sandwich(a.factors, a.core.matrix, a.factors))
         else:
-            p, rr = np.linalg.qr(dagger(a.factors.reshape(r * m, n)))
+            cd = dagger(a.factors.reshape(r * m, n))
+            p, rr = np.linalg.qr(cd)
             s = rr @ (a.core.matrix @ dagger(rr).reshape(r, m, r * m)).reshape(r * m, r * m)
-            eig = hermitian_eig(HermitianOperator(hermitian_part(s)))
+            eig = hermitian_eig(hermitian_operator(s))
             w = eig.eigenvalues
-            v = _phase_fixed(p @ eig.eigenvectors[:, -1:])[:, 0]
-            return PureState(v), bool(w[-1] - np.max(w[-2:-1], initial=0.0) <= eps_deg)
+            if w[-1] >= 0.0:
+                v = p @ eig.eigenvectors[:, -1:]
+                degenerate = w[-1] - np.max(w[-2:-1], initial=0.0) <= eps_deg
+            else:
+                v = np.linalg.qr(cd, mode="complete")[0][:, r * m:r * m + 1]
+                degenerate = n - r * m > 1 or -w[-1] <= eps_deg
+            return _wrap(PureState, amplitudes=_phase_fixed(v)[:, 0]), bool(degenerate)
     eig = hermitian_eig(a)
     w = eig.eigenvalues
-    v = eig.eigenvectors[:, -1]
     degenerate = len(w) > 1 and (w[-1] - w[-2]) <= eps_deg
-    return PureState(v), degenerate
+    return _wrap(PureState, amplitudes=eig.eigenvectors[:, -1].copy()), degenerate
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -523,7 +576,8 @@ def density_violations(m: np.ndarray) -> list:
     r = max_abs(m - dagger(m))
     if not r <= EPS_HERM:
         out.append(Violation("density matrix hermiticity", r))
-    r = abs(float(np.real(np.trace(m))) - 1.0) + abs(float(np.imag(np.trace(m))))
+    t = complex(np.trace(m))
+    r = abs(t.real - 1.0) + abs(t.imag)
     if not r <= EPS_TRACE:
         out.append(Violation("density matrix unit trace", r))
     return out

@@ -24,7 +24,7 @@ from .operators import (
     derivative_adjoint_apply,
     haar_state,
     hermitian_commutator,
-    hermitian_part,
+    hermitian_operator,
     kraus_images,
     max_abs,
     max_eigvec,
@@ -96,8 +96,9 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
     """G(X) = -X^2 + 2i[H, X]; Hermitian for Hermitian H, X."""
     if x.dim != h.dim:
         raise ValidationError(f"dimension mismatch: X {x.dim}, H {h.dim}")
-    g = -(x.matrix @ x.matrix) + 2j * hermitian_commutator(h.matrix, x.matrix)
-    return HermitianOperator(hermitian_part(g))
+    g = 2j * hermitian_commutator(h.matrix, x.matrix)
+    g -= x.matrix @ x.matrix
+    return hermitian_operator(g)
 
 
 def real_expectation(psi: PureState, op: HermitianOperator) -> float:
@@ -119,9 +120,11 @@ def general_objective(
     x: HermitianOperator, ch: QuantumChannel, dch: DerivativeChannel
 ) -> HermitianOperator:
     """-Lambda^dag(X^2) + 2 Lambda'^dag(X) for a general channel family."""
-    x2 = HermitianOperator(hermitian_part(x.matrix @ x.matrix))
-    out = -channel_adjoint_apply(ch, x2).matrix + 2.0 * derivative_adjoint_apply(dch, x).matrix
-    return HermitianOperator(hermitian_part(out))
+    x2 = hermitian_operator(x.matrix @ x.matrix)
+    a = channel_adjoint_apply(ch, x2).matrix
+    out = 2.0 * derivative_adjoint_apply(dch, x).matrix
+    out -= a
+    return hermitian_operator(out)
 
 
 def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
@@ -163,7 +166,7 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
             hx = h.matrix @ x
             q = np.linalg.qr(np.hstack((x, hx, h.matrix @ hx)))[0]
             qd = dagger(q)
-            rho, hq = mixture(w @ q.conj()), HermitianOperator(hermitian_part(qd @ h.matrix @ q))
+            rho, hq = mixture(w @ q.conj()), hermitian_operator(qd @ h.matrix @ q)
             factors = np.matmul(qd, ch.stack)
         else:
             rho, hq, factors = mixture(w), h, ch.stack
@@ -253,8 +256,7 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
         scale = max(1.0, max_abs(dsigma))
         if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:
             raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-        rhs = HermitianOperator(hermitian_part(dsigma))
-        res = solve_sld_rhs(rho_n, rhs, cfg.eps_rank)
+        res = solve_sld_rhs(rho_n, hermitian_operator(dsigma), cfg.eps_rank)
         m = general_objective(res.L, ch, dch)
         return real_expectation(psi_n, m), m, res.support_dim_deficit
 

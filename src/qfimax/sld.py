@@ -7,7 +7,8 @@ residual rather than any transcribed closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,12 +16,14 @@ from .errors import ValidationError
 from .operators import (
     DensityMatrix,
     HermitianOperator,
+    _checked_hermitian,
+    _wrap,
     check_density_spectrum,
     dagger,
     density_violations,
     hermitian_commutator,
     hermitian_eig,
-    hermitian_part,
+    hermitian_operator,
     raise_violations,
 )
 
@@ -32,13 +35,19 @@ class SldResult:
     rank is the numerical rank of rho; support_dim_deficit = dim - rank.
     residual is the Hilbert-Schmidt norm of (1/2){L, rho} - R restricted
     to the blocks where the equation is solvable (everything except the
-    null-null block, where L is set to zero by convention).
+    null-null block, where L is set to zero by convention), computed from
+    the eigenbasis blocks on first read.
     """
 
     L: HermitianOperator
     rank: int
     support_dim_deficit: int
-    residual: float
+    blocks: tuple = field(repr=False, compare=False)  # (solvable, denom, X, R) in rho's eigenbasis
+
+    @cached_property
+    def residual(self) -> float:
+        solvable, denom, x_eig, r_eig = self.blocks
+        return float(np.linalg.norm(np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0)))
 
 
 def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
@@ -51,25 +60,25 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
     raise_violations(density_violations(rho.matrix), "density matrix")
     if rho.dim != r.dim:
         raise ValidationError(f"dimension mismatch: rho {rho.dim}, rhs {r.dim}")
-    eig = hermitian_eig(HermitianOperator(rho.matrix))
+    # density_violations has checked rho's Hermiticity, more tightly than hermitian_eig would
+    eig = hermitian_eig(_checked_hermitian(rho.matrix))
     lam, v = eig.eigenvalues, eig.eigenvectors
     check_density_spectrum(lam)
     lam_max = float(lam[-1])
 
-    r_eig = dagger(v) @ r.matrix @ v
-    denom = lam[:, None] + lam[None, :]
+    vd = dagger(v)
+    r_eig = vd @ r.matrix @ v
+    denom = np.add.outer(lam, lam)
     solvable = denom > eps_rank * lam_max
-    x_eig = np.where(solvable, 2.0 * r_eig / np.where(solvable, denom, 1.0), 0.0)
-
-    residual = float(np.linalg.norm(np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0)))
+    x_eig = np.divide(2.0 * r_eig, denom, out=np.zeros(r_eig.shape, complex), where=solvable)
     rank = int(np.count_nonzero(lam > eps_rank * lam_max))
-    x = hermitian_part(v @ x_eig @ dagger(v))
-    return SldResult(HermitianOperator(x), rank, rho.dim - rank, residual)
+    return SldResult(hermitian_operator(v @ x_eig @ vd), rank, rho.dim - rank,
+                     (solvable, denom, x_eig, r_eig))
 
 
 def sld(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}."""
-    rhs = HermitianOperator(-1j * hermitian_commutator(h.matrix, rho.matrix))
+    rhs = _wrap(HermitianOperator, matrix=-1j * hermitian_commutator(h.matrix, rho.matrix))
     return solve_sld_rhs(rho, rhs, eps_rank)
 
 
@@ -92,34 +101,33 @@ def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: f
     eigenspace; eigenspaces are connected when rho has a matrix element
     of magnitude above eps between them. Reducibility means rho and H
     share a proper invariant subspace built from H eigenspaces, which can
-    trap the alternating iteration inside one block. H's eigenbasis V is
-    computed once per generator (HermitianOperator.eig).
+    trap the alternating iteration inside one block. H's eigenbasis V and
+    its groups are computed once per generator (HermitianOperator.eig and
+    .eigenspaces).
 
     rho is a DensityMatrix, or the (r, d) stack of the vectors w_k of
     rho = sum_k |w_k><w_k| (a channel output's kraus_images), which is
     read as V^dag W in O(r d^2) without forming rho.
     """
-    lam, v = h.eig.eigenvalues, h.eig.eigenvectors
-    # ascending eigenvalues closer than eps to their neighbour share a group
-    group = np.concatenate(([0], np.cumsum(np.diff(lam) > eps)))
-    n_groups = int(group[-1]) + 1
-    if n_groups == 1:
+    starts, v_conj, upper = h.eigenspaces(eps)
+    if len(starts) == 1:
         return True
 
     if isinstance(rho, DensityMatrix):
-        rho_eig = dagger(v) @ rho.matrix @ v
+        rho_eig = v_conj.T @ rho.matrix @ h.eig.eigenvectors
     else:
-        b = rho @ v.conj()  # row k: (V^dag w_k)^T
+        b = rho @ v_conj  # row k: (V^dag w_k)^T
         rho_eig = b.T @ b.conj()
-    coupled = np.triu(np.abs(rho_eig) > eps, 1)
-    member = np.zeros((h.dim, n_groups))
-    member[np.arange(h.dim), group] = 1.0
-    # groups x groups: True where some element of rho joins the two groups
-    linked = member.T @ (coupled | coupled.T) @ member > 0
-    reached = np.zeros(n_groups, dtype=bool)
+    # groups x groups: True where some element of rho above the diagonal joins the two groups
+    linked = np.logical_or.reduceat((np.abs(rho_eig) > eps) & upper, starts, axis=0)
+    linked = np.logical_or.reduceat(linked, starts, axis=1)
+    linked |= linked.T
+    reached = np.zeros(len(starts), dtype=bool)
     reached[0] = True
+    count = 1
     while True:
-        grown = reached | linked[reached].any(axis=0)
-        if np.array_equal(grown, reached):
-            return bool(reached.all())
-        reached = grown
+        reached |= linked[reached].any(axis=0)
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return grown == len(starts)
+        count = grown

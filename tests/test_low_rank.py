@@ -203,6 +203,24 @@ class TestFactoredMaxEigvec:
         g = HermitianOperator(np.diag([5e-9, -1.0, -2.0]))
         assert not max_eigvec(FactoredOperator(c, g))[1]
 
+    @pytest.mark.parametrize("r, m, n", [(1, 4, 5), (2, 3, 7), (1, 4, 6), (2, 2, 7)])
+    def test_negative_core_tops_out_on_the_kernel(self, r, m, n):
+        # g < 0: M is negative on the row space of C and 0 on its kernel, of
+        # dimension n - r*m, so the top eigenvalue is that 0, degenerate
+        # exactly when the kernel has more than one dimension
+        rng = np.random.default_rng(r + m + n)
+        c = rng.standard_normal((r, m, n)) + 1j * rng.standard_normal((r, m, n))
+        g = HermitianOperator(-np.eye(m))
+        dense = channel_adjoint_apply(QuantumChannel(tuple(c)), g)
+        psi, flag = max_eigvec(FactoredOperator(c, g))
+        ref, ref_flag = max_eigvec(dense)
+        assert flag == ref_flag == (n - r * m > 1)
+        v = psi.amplitudes
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(c.reshape(r * m, n) @ v)) <= 1e-13
+        if not flag:
+            np.testing.assert_allclose(v, ref.amplitudes, rtol=0, atol=1e-12)
+
 
 def _run(ch, h, psi0):
     cfg = OptimizerConfig(restarts=1, init_mode="user_supplied", initial_state=psi0,
