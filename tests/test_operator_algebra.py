@@ -8,6 +8,7 @@ from qfimax import (
     DerivativeChannel,
     DimensionMismatch,
     HermitianOperator,
+    NumericError,
     Povm,
     PureState,
     QuantumChannel,
@@ -161,6 +162,13 @@ class TestDerivativeChannel:
         dch = DerivativeChannel(((SIGMA_X, SIGMA_X),))
         violations = validate(dch)
         assert any("trace" in v.invariant for v in violations)
+
+    def test_asymmetric_adjoint_rejected(self):
+        # X -> A^dag X B is not Hermitian for a random pair A != B
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        with pytest.raises(NumericError, match="non-Hermitian"):
+            derivative_adjoint_apply(DerivativeChannel(((a, b),)), random_hermitian(3, rng))
 
 
 class TestEigendecomposition:

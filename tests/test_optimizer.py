@@ -8,6 +8,7 @@ import pytest
 from qfimax import (
     DerivativeChannel,
     HermitianOperator,
+    NumericError,
     OptimizerConfig,
     PureState,
     ValidationError,
@@ -309,6 +310,13 @@ class TestOptimizeGeneral:
         result = optimize_general(identity_channel(2), dch,
                                   OptimizerConfig(restarts=1, max_iters=10, seed=0))
         assert result.f_star == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_hermitian_derivative_output_rejected(self):
+        # sigma -> A sigma B^dag is not Hermitian for a random pair A != B
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        with pytest.raises(NumericError, match="not Hermitian"):
+            optimize_general(identity_channel(3), DerivativeChannel(((a, b),)), FAST)
 
     def test_finite_difference_family_matches_oracle(self):
         base = dephasing_channel(0.8)

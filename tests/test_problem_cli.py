@@ -10,8 +10,11 @@ import pytest
 from qfimax import ValidationError, parse_problem
 from qfimax import cli
 from qfimax.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, run_command
+from qfimax.cfi import classical_fi, outcome_statistics
+from qfimax.operators import channel_apply
 from qfimax.oracles import brute_force_max_qfi
-from qfimax.problem import emit_problem
+from qfimax.problem import emit_problem, encode_array
+from qfimax.sld import qfi
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -106,6 +109,27 @@ class TestEmitProblem:
         once = emit_problem(pf)
         again = emit_problem(parse_problem(once))
         assert once == again
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
+    def test_bundled_problem_round_trip(self, name):
+        # emitted povm and derivative maps take the explicit 'elements' and 'terms' forms
+        pf = parse_problem((PROBLEMS / name).read_bytes())
+        once = emit_problem(pf)
+        back = parse_problem(once)
+        assert emit_problem(back) == once
+        assert np.array_equal(back.generator.matrix, pf.generator.matrix)
+        assert np.array_equal(back.channel.stack, pf.channel.stack)
+        for section in ("povm", "derivative_channel", "input_state", "bayes"):
+            assert (getattr(back, section) is None) == (getattr(pf, section) is None), section
+        if pf.povm is not None:
+            assert np.array_equal(back.povm.stack, pf.povm.stack)
+            assert back.povm.labels == pf.povm.labels
+        if pf.derivative_channel is not None:
+            assert np.array_equal(back.derivative_channel.stack, pf.derivative_channel.stack)
+        if pf.input_state is not None:
+            assert np.array_equal(back.input_state.amplitudes, pf.input_state.amplitudes)
+        assert back.bayes == pf.bayes
+        assert back.optimizer == pf.optimizer
 
     def test_emitted_channel_is_explicit_kraus(self):
         doc = json.loads(emit_problem(parse_problem(MINIMAL)))
@@ -356,6 +380,38 @@ class TestCliBehavior:
         l = np.array(report["details"]["L"])
         np.testing.assert_allclose(l[..., 0] + 1j * l[..., 1],
                                    np.array([[0, -1j], [1j, 0]]), atol=1e-12)
+
+
+class TestValueCommands:
+    """The commands that evaluate one state, through main, against the
+    library calls they stand for."""
+
+    def report(self, command, name, capsys):
+        assert main([command, "--problem", str(PROBLEMS / name)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out), parse_problem((PROBLEMS / name).read_bytes())
+
+    def test_qfi_eval(self, capsys):
+        report, pf = self.report("qfi-eval", "sld_plus_state.json", capsys)
+        rho = channel_apply(pf.channel, pf.input_state)
+        assert report["f_star"] == qfi(rho, pf.generator, pf.optimizer.eps_rank)
+        assert report["psi_star"] == encode_array(pf.input_state.amplitudes)
+        assert "details" not in report
+
+    def test_cfi_eval(self, capsys):
+        report, pf = self.report("cfi-eval", "bayes_qubit.json", capsys)
+        stats = outcome_statistics(channel_apply(pf.channel, pf.input_state), pf.generator, pf.povm)
+        assert report["f_star"] == classical_fi(stats)
+        assert report["psi_star"] == encode_array(pf.input_state.amplitudes)
+        assert report["details"] == {"probs": stats.probs.tolist(), "dprobs": stats.dprobs.tolist(),
+                                     "labels": list(stats.labels)}
+
+    def test_oracle(self, capsys):
+        report, pf = self.report("oracle", "dephasing_08.json", capsys)
+        value, psi = brute_force_max_qfi(pf.channel, pf.generator, n_samples=2000,
+                                         seed=pf.optimizer.seed)
+        assert report["f_star"] == value
+        assert report["psi_star"] == encode_array(psi.amplitudes)
+        assert "details" not in report
 
 
 class TestBundledProblems:
