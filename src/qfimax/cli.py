@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,18 +33,25 @@ from .oracles import (
 from .problem import OPTIMIZER_FIELDS, BayesSpec, ProblemFile, encode_array, parse_problem
 from .sld import qfi, qfi_from_sld, sld
 
-COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "sld", "qfi-eval",
-            "cfi-eval", "bayes-check", "oracle")
+# the problem-file sections each command reads, checked in this order
+REQUIRED_SECTIONS = {
+    "qfi-max": (),
+    "qfi-max-general": ("derivative_channel",),
+    "cfi-max": ("povm",),
+    "sld": ("input_state",),
+    "qfi-eval": ("input_state",),
+    "cfi-eval": ("povm", "input_state"),
+    "bayes-check": ("povm", "input_state"),
+    "oracle": (),
+}
+COMMANDS = tuple(REQUIRED_SECTIONS)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-
-def _require(problem: ProblemFile, command: str, **needs):
-    for name, present in needs.items():
-        if not present:
-            raise ValidationError(f"command '{command}' requires a '{name}' section in the problem file")
+# the run that a command evaluating one state reports: no iterations
+_NO_RUN = SimpleNamespace(trace=(), converged=True, warnings=())
 
 
 def problem_sha256(problem: ProblemFile) -> str:
@@ -80,30 +88,18 @@ def _trace_rows(result):
     return rows
 
 
-def _optimizer_report(command, problem, result):
-    return {
-        "command": command,
-        "tool_version": __version__,
-        "f_star": float(result.f_star),
-        "psi_star": encode_array(result.psi_star.amplitudes),
-        "iterations": len(result.trace),
-        "converged": bool(result.converged),
-        "warnings": list(result.warnings),
-        "trace": _trace_rows(result),
-        "config_echo": _config_echo(problem, command),
-    }
-
-
-def _value_report(command, problem, value, psi=None, details=None):
+def _report(command, problem, f_star, psi, details=None, run=_NO_RUN) -> dict:
+    """The report of the value f_star at the probe psi, with the run of the
+    optimizer that found them, if any."""
     report = {
         "command": command,
         "tool_version": __version__,
-        "f_star": value,
-        "psi_star": encode_array(psi.amplitudes) if psi is not None else None,
-        "iterations": 0,
-        "converged": True,
-        "warnings": [],
-        "trace": [],
+        "f_star": float(f_star),
+        "psi_star": encode_array(psi.amplitudes),
+        "iterations": len(run.trace),
+        "converged": bool(run.converged),
+        "warnings": list(run.warnings),
+        "trace": _trace_rows(run),
         "config_echo": _config_echo(problem, command),
     }
     if details:
@@ -113,66 +109,49 @@ def _value_report(command, problem, value, psi=None, details=None):
 
 def run_command(command: str, problem: ProblemFile) -> dict:
     """Dispatch one CLI command onto the library and build its report."""
+    if command not in REQUIRED_SECTIONS:
+        raise ValidationError(f"unknown command '{command}'")
+    for name in REQUIRED_SECTIONS[command]:
+        if getattr(problem, name) is None:
+            raise ValidationError(f"command '{command}' requires a '{name}' section in the problem file")
+    ch, h, cfg, psi = problem.channel, problem.generator, problem.optimizer, problem.input_state
+    run = None
     if command == "qfi-max":
-        return _optimizer_report(command, problem,
-                                 optimize(problem.channel, problem.generator, problem.optimizer))
-    if command == "qfi-max-general":
-        _require(problem, command, derivative_channel=problem.derivative_channel is not None)
-        return _optimizer_report(
-            command, problem,
-            optimize_general(problem.channel, problem.derivative_channel, problem.optimizer))
-    if command == "cfi-max":
-        _require(problem, command, povm=problem.povm is not None)
-        return _optimizer_report(
-            command, problem,
-            optimize_fixed_measurement(problem.channel, problem.generator,
-                                       problem.povm, problem.optimizer))
+        run = optimize(ch, h, cfg)
+    elif command == "qfi-max-general":
+        run = optimize_general(ch, problem.derivative_channel, cfg)
+    elif command == "cfi-max":
+        run = optimize_fixed_measurement(ch, h, problem.povm, cfg)
+    if run is not None:
+        return _report(command, problem, run.f_star, run.psi_star, run=run)
+    if command == "oracle":
+        return _report(command, problem, *brute_force_max_qfi(ch, h, n_samples=2000, seed=cfg.seed))
+    rho = channel_apply(ch, psi)
     if command == "sld":
-        _require(problem, command, input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state)
-        res = sld(rho, problem.generator, problem.optimizer.eps_rank)
-        value = qfi_from_sld(rho, res)
+        res = sld(rho, h, cfg.eps_rank)
         details = {
             "L": encode_array(res.L.matrix),
             "rank": res.rank,
             "support_dim_deficit": res.support_dim_deficit,
             "residual": res.residual,
         }
-        return _value_report(command, problem, value, problem.input_state, details)
+        return _report(command, problem, qfi_from_sld(rho, res), psi, details)
     if command == "qfi-eval":
-        _require(problem, command, input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state)
-        value = qfi(rho, problem.generator, problem.optimizer.eps_rank)
-        return _value_report(command, problem, value, problem.input_state)
+        return _report(command, problem, qfi(rho, h, cfg.eps_rank), psi)
+    stats = outcome_statistics(rho, h, problem.povm)
     if command == "cfi-eval":
-        _require(problem, command, povm=problem.povm is not None,
-                 input_state=problem.input_state is not None)
-        rho = channel_apply(problem.channel, problem.input_state)
-        stats = outcome_statistics(rho, problem.generator, problem.povm)
-        return _value_report(command, problem, classical_fi(stats), problem.input_state,
-                             {"probs": list(stats.probs), "dprobs": list(stats.dprobs),
-                              "labels": list(stats.labels)})
-    if command == "bayes-check":
-        _require(problem, command, povm=problem.povm is not None,
-                 input_state=problem.input_state is not None)
-        bayes = problem.bayes or BayesSpec()
-        rho = channel_apply(problem.channel, problem.input_state)
-        stats = outcome_statistics(rho, problem.generator, problem.povm)
-        direct = classical_fi(stats)
-        sweep = {}
-        for delta in tuple(bayes.sweep) + (bayes.delta_prior,):
-            prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
-            model = model_from_quantum(problem.channel, problem.generator,
-                                       problem.input_state, problem.povm, prior.grid())
-            sweep[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
-        value = sweep[f"{bayes.delta_prior:g}"]
-        return _value_report(command, problem, value, problem.input_state,
-                             {"classical_fi": direct, "bayes_sweep": sweep})
-    if command == "oracle":
-        value, psi = brute_force_max_qfi(problem.channel, problem.generator,
-                                         n_samples=2000, seed=problem.optimizer.seed)
-        return _value_report(command, problem, value, psi)
-    raise ValidationError(f"unknown command '{command}'")
+        return _report(command, problem, classical_fi(stats), psi,
+                       {"probs": list(stats.probs), "dprobs": list(stats.dprobs),
+                        "labels": list(stats.labels)})
+    # bayes-check
+    bayes = problem.bayes or BayesSpec()
+    sweep = {}
+    for delta in tuple(bayes.sweep) + (bayes.delta_prior,):
+        prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
+        model = model_from_quantum(ch, h, psi, problem.povm, prior.grid())
+        sweep[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
+    return _report(command, problem, sweep[f"{bayes.delta_prior:g}"], psi,
+                   {"classical_fi": classical_fi(stats), "bayes_sweep": sweep})
 
 
 def _write_trace_csv(path: str, report: dict) -> None:

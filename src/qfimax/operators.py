@@ -205,7 +205,7 @@ class DerivativeChannel:
     """Hermiticity-preserving map rho -> sum_k A_k rho B_k^dag.
 
     Represents the parameter derivative of a trace-preserving channel
-    family, supplied as an explicit pair list (no automatic
+    family, supplied as an explicit, non-empty pair list (no automatic
     differentiation; see :func:`finite_difference_derivative`). The pairs
     are stored once, as the read-only (2, r, dim_out, dim_in) array
     `stack` (stack[0] holds the A_k, stack[1] the B_k); `terms` is a tuple
@@ -218,33 +218,25 @@ class DerivativeChannel:
     def __post_init__(self):
         msg = "derivative terms must be matrix pairs of equal shape"
         pairs = [tuple(pair) for pair in self.terms]
+        if not pairs:
+            raise ValidationError("derivative channel needs at least one pair")
         if any(len(pair) != 2 for pair in pairs):
             raise ValidationError(msg)
-        if pairs:
-            stack = _frozen_stack(tuple(zip(*pairs)), 4, msg)
-        else:
-            stack = np.zeros((2, 0, 0, 0), dtype=complex)
-            stack.setflags(write=False)
+        stack = _frozen_stack(tuple(zip(*pairs)), 4, msg)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "terms", tuple(zip(stack[0], stack[1])))
 
     @property
     def dim_in(self) -> int:
-        if not self.terms:
-            raise ValidationError("empty derivative channel has no dimension")
         return self.stack.shape[3]
 
     @property
     def dim_out(self) -> int:
-        if not self.terms:
-            raise ValidationError("empty derivative channel has no dimension")
         return self.stack.shape[2]
 
-    def apply(self, rho: np.ndarray | PureState) -> np.ndarray | None:
+    def apply(self, rho: np.ndarray | PureState) -> np.ndarray:
         """sum_k A_k rho B_k^dag for a matrix rho, or for |psi><psi| given
-        the PureState psi; None for an empty pair list."""
-        if not self.terms:
-            return None
+        the PureState psi."""
         a, b = self.stack
         if isinstance(rho, PureState):
             return _stack_times(a, rho.amplitudes).T @ _stack_times(b, rho.amplitudes).conj()
@@ -285,18 +277,11 @@ class Povm:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues with matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues with matching orthonormal eigenvector columns,
+    as hermitian_eig returns them (read-only)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float)
-        v = np.array(self.eigenvectors, dtype=complex)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
 
 
 @dataclass(frozen=True)
@@ -426,8 +411,6 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
     The raw adjoint of a genuine channel-family derivative is Hermitian up
     to roundoff; an asymmetry beyond EPS_ADJOINT_HERM signals a bad pair list.
     """
-    if not dch.terms:
-        raise ValidationError("empty derivative channel")
     if dch.dim_out != a.dim:
         raise DimensionMismatch(
             f"derivative adjoint expects dim {dch.dim_out}, operator has dim {a.dim}"
@@ -634,8 +617,6 @@ def validate(obj):
         if not r <= EPS_TP:
             out.append(Violation("POVM completeness", r))
     elif isinstance(obj, DerivativeChannel):
-        if not obj.terms:
-            return out
         herm, trace = _derivative_residuals(*obj.stack)
         if not herm <= EPS_DERIVATIVE:
             out.append(Violation("derivative channel hermiticity preservation", herm))

@@ -163,6 +163,10 @@ class TestDerivativeChannel:
         violations = validate(dch)
         assert any("trace" in v.invariant for v in violations)
 
+    def test_empty_pair_list_rejected(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            DerivativeChannel(())
+
     def test_asymmetric_adjoint_rejected(self):
         # X -> A^dag X B is not Hermitian for a random pair A != B
         rng = np.random.default_rng(11)
