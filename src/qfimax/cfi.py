@@ -16,6 +16,8 @@ from .operators import (
     Povm,
     PureState,
     QuantumChannel,
+    _unbatched,
+    _wrap,
     channel_adjoint_apply,
     hermitian_commutator,
     hermitian_operator,
@@ -28,7 +30,8 @@ EPS_PROB = 1e-12  # outcomes with p <= EPS_PROB are off the numerical support
 
 @dataclass(frozen=True)
 class EstimatorCoefficients:
-    """One real coefficient per POVM outcome, in parameter units."""
+    """One real coefficient per POVM outcome, in parameter units (one row
+    per probe of a stack, as optimal_d makes them for a stack)."""
 
     values: np.ndarray
     labels: tuple
@@ -47,7 +50,8 @@ class EstimatorCoefficients:
 @dataclass(frozen=True)
 class OutcomeStatistics:
     """Outcome probabilities p(x) = Tr{rho Pi_x} and their parameter
-    derivatives dp(x) = Tr{-i[H, rho] Pi_x}."""
+    derivatives dp(x) = Tr{-i[H, rho] Pi_x} (one row per state of a stack,
+    as outcome_statistics makes them for a stack)."""
 
     probs: np.ndarray
     dprobs: np.ndarray
@@ -58,10 +62,7 @@ class OutcomeStatistics:
         dp = np.array(self.dprobs, dtype=float)
         if p.shape != dp.shape or p.ndim != 1:
             raise ValidationError("probs and dprobs must be aligned vectors")
-        if abs(float(p.sum()) - 1.0) > 1e-8:
-            raise ValidationError(f"probabilities sum to {p.sum()}, not 1")
-        if abs(float(dp.sum())) > 1e-8:
-            raise ValidationError(f"probability derivatives sum to {dp.sum()}, not 0")
+        _check_sums(p, dp)
         p.setflags(write=False)
         dp.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -69,16 +70,30 @@ class OutcomeStatistics:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
+def _check_sums(probs: np.ndarray, dprobs: np.ndarray) -> None:
+    """Raise ValidationError unless the probabilities sum to 1 and their
+    derivatives to 0 (each row, for a stack)."""
+    for sums, target, what in ((probs.sum(axis=-1), 1.0, "probabilities"),
+                               (dprobs.sum(axis=-1), 0.0, "probability derivatives")):
+        bad = np.abs(np.atleast_1d(sums) - target) > 1e-8
+        if bad.any():
+            raise ValidationError(f"{what} sum to {np.atleast_1d(sums)[bad][0]}, not {target:g}")
+
+
 def outcome_statistics(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> OutcomeStatistics:
+    """Outcome statistics of rho, or of each state of a stack rho."""
     if rho.dim != povm.dim or rho.dim != h.dim:
         raise ValidationError(
             f"dimension mismatch: rho {rho.dim}, H {h.dim}, POVM {povm.dim}"
         )
     drho = -1j * hermitian_commutator(h.matrix, rho.matrix)
     # for Hermitian A, Re Tr{A Pi_x} = sum_ab Re A_ab Re (Pi_x)_ab + Im A_ab Im (Pi_x)_ab
-    ab = np.stack((rho.matrix, drho)).reshape(2, -1).view(float)
-    probs, dprobs = ab @ _real_rows(povm).T
-    return OutcomeStatistics(probs, dprobs, povm.labels)
+    ab = np.stack((rho.matrix, drho), axis=-3)
+    ab = ab.reshape(ab.shape[:-2] + (-1,)).view(float)
+    pd = ab @ _real_rows(povm).T
+    probs, dprobs = pd[..., 0, :], pd[..., 1, :]
+    _check_sums(probs, dprobs)
+    return _wrap(OutcomeStatistics, probs=probs, dprobs=dprobs, labels=povm.labels)
 
 
 def _real_rows(povm: Povm) -> np.ndarray:
@@ -88,11 +103,11 @@ def _real_rows(povm: Povm) -> np.ndarray:
 
 
 def classical_fi(stats: OutcomeStatistics) -> float:
-    """Sum of dp^2/p over the numerical support {p > EPS_PROB}."""
-    on = stats.probs > EPS_PROB
-    if not np.any(on):
-        return 0.0
-    return float(np.sum(stats.dprobs[on] ** 2 / stats.probs[on]))
+    """Sum of dp^2/p over the numerical support {p > EPS_PROB}; one value
+    per row of a stack."""
+    p = stats.probs
+    terms = np.divide(stats.dprobs ** 2, p, out=np.zeros_like(p), where=p > EPS_PROB)
+    return _unbatched(terms.sum(axis=-1))
 
 
 def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> EstimatorCoefficients:
@@ -101,20 +116,20 @@ def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> Estimator
 
 
 def _optimal_d_from_stats(stats: OutcomeStatistics) -> EstimatorCoefficients:
-    values = np.zeros_like(stats.probs)
-    on = stats.probs > EPS_PROB
-    values[on] = stats.dprobs[on] / stats.probs[on]
-    return EstimatorCoefficients(values, stats.labels)
+    p = stats.probs
+    values = np.divide(stats.dprobs, p, out=np.zeros_like(p), where=p > EPS_PROB)
+    return _wrap(EstimatorCoefficients, values=values, labels=stats.labels)
 
 
 def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
-    """Moment operator sum_x D(x)^j Pi_x for j in {1, 2}."""
+    """Moment operator sum_x D(x)^j Pi_x for j in {1, 2}; one per row of a
+    stack of coefficients."""
     if j not in (1, 2):
         raise ValidationError(f"moment order must be 1 or 2, got {j}")
     if d.labels != povm.labels:
         raise ValidationError("estimator labels do not match the POVM")
-    out = (d.values ** j @ _real_rows(povm)).view(complex).reshape(povm.dim, povm.dim)
-    return hermitian_operator(out)
+    out = (d.values[..., None, :] ** j @ _real_rows(povm)).view(complex)
+    return hermitian_operator(out.reshape(out.shape[:-2] + (povm.dim, povm.dim)))
 
 
 def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) -> HermitianOperator:
@@ -138,14 +153,14 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
     if ch.dim_out != h.dim or povm.dim != h.dim:
         raise ValidationError("generator, POVM and channel output dimensions must match")
 
-    def update(w, psi_n):
-        rho_n = mixture(w)
-        stats = outcome_statistics(rho_n, h, povm)
+    def update(w, psi):
+        rho = mixture(w)
+        stats = outcome_statistics(rho, h, povm)
         d = _optimal_d_from_stats(stats)
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
-        # the nonzero eigenvalues of rho_n = W W^dag are the squared singular values of W
+        # the nonzero eigenvalues of rho = W W^dag are the squared singular values of W
         lam = np.linalg.svd(w, compute_uv=False) ** 2
-        rank = int(np.count_nonzero(lam > cfg.eps_rank * max(lam[0], np.finfo(float).tiny)))
-        return classical_fi(stats), m, rho_n.dim - rank
+        cut = cfg.eps_rank * np.maximum(lam[..., :1], np.finfo(float).tiny)
+        return classical_fi(stats), m, rho.dim - np.count_nonzero(lam > cut, axis=-1)
 
     return run_alternating(ch, cfg, update, h)

@@ -51,7 +51,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 # the run that a command evaluating one state reports: no iterations
-_NO_RUN = SimpleNamespace(trace=(), converged=True, warnings=())
+_NO_RUN = SimpleNamespace(trace=(), converged=True, warnings=(), restart_values=(),
+                          restart_iterations=(), restart_converged=())
 
 
 def problem_sha256(problem: ProblemFile) -> str:
@@ -100,6 +101,9 @@ def _report(command, problem, f_star, psi, details=None, run=_NO_RUN) -> dict:
         "converged": bool(run.converged),
         "warnings": list(run.warnings),
         "trace": _trace_rows(run),
+        "restarts": [{"f": float(f), "iterations": int(n), "converged": bool(c)}
+                     for f, n, c in zip(run.restart_values, run.restart_iterations,
+                                        run.restart_converged)],
         "config_echo": _config_echo(problem, command),
     }
     if details:

@@ -49,7 +49,8 @@ def _freeze(a, shape_kind="matrix"):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hs_norm(a: np.ndarray) -> float:
@@ -65,15 +66,24 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def _wrap(cls, **arrays):
-    """An instance of the frozen dataclass cls holding arrays the library
-    has just computed, made read-only in place: no copy and no shape check,
-    unlike the public constructors, which copy what a caller passes in."""
+def _wrap(cls, **values):
+    """An instance of the frozen dataclass cls holding values the library
+    has just computed, its arrays made read-only in place: no copy and no
+    shape check, unlike the public constructors, which copy what a caller
+    passes in. Arrays may carry a leading batch axis: one value per probe
+    of a stack."""
     obj = object.__new__(cls)
-    for name, a in arrays.items():
-        a.setflags(write=False)
+    for name, a in values.items():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
         object.__setattr__(obj, name, a)
     return obj
+
+
+def _unbatched(a):
+    """a, a result per slice of a stack, as a Python scalar when the input
+    had no batch axis (a is 0-d)."""
+    return a.item() if a.ndim == 0 else a
 
 
 def hermitian_operator(a: np.ndarray) -> "HermitianOperator":
@@ -104,7 +114,7 @@ class HermitianOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def herm_residual(self) -> float:
         return max_abs(self.matrix - dagger(self.matrix))
@@ -135,7 +145,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,7 @@ class PureState:
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-1]
 
     def projector(self) -> DensityMatrix:
         v = self.amplitudes
@@ -236,10 +246,11 @@ class DerivativeChannel:
 
     def apply(self, rho: np.ndarray | PureState) -> np.ndarray:
         """sum_k A_k rho B_k^dag for a matrix rho, or for |psi><psi| given
-        the PureState psi."""
+        the PureState psi (one matrix per probe of a stack psi)."""
         a, b = self.stack
         if isinstance(rho, PureState):
-            return _stack_times(a, rho.amplitudes).T @ _stack_times(b, rho.amplitudes).conj()
+            v = rho.amplitudes
+            return _images(a, v).swapaxes(-1, -2) @ _images(b, v).conj()
         return _sandwich(a, rho, b)
 
 
@@ -290,19 +301,20 @@ class FactoredOperator:
     (r, m, n) stack `factors` of the C_k and the m x m Hermitian `core` g,
     without forming it. Lambda^dag(G) is the case C = the Kraus stack,
     g = G; a compressed one has C_k = Q^dag K_k, g = Q^dag G Q for G
-    supported on the range of an isometry Q."""
+    supported on the range of an isometry Q. Either may carry a leading
+    batch axis, one operator per probe of a stack."""
 
     factors: np.ndarray
     core: HermitianOperator
 
     def __post_init__(self):
-        if self.factors.ndim != 3 or self.factors.shape[1] != self.core.dim:
+        if self.factors.ndim < 3 or self.factors.shape[-2] != self.core.dim:
             raise DimensionMismatch(
                 f"factors of shape {self.factors.shape} do not match a core of dim {self.core.dim}")
 
     @property
     def dim(self) -> int:
-        return self.factors.shape[2]
+        return self.factors.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -344,10 +356,17 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _stack_times(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K_k x for every matrix K_k of an (r, m, n) stack, as one product
-    with the stack flattened to (r*m, n); shape (r, m) + x.shape[1:]."""
+    """K_k x for every matrix K_k of an (r, m, n) stack and every matrix x
+    of a (..., n, p) stack, as one product with the stack flattened to
+    (r*m, n); shape (..., r, m, p)."""
     r, m, n = stack.shape
-    return (stack.reshape(r * m, n) @ x).reshape((r, m) + x.shape[1:])
+    return (stack.reshape(r * m, n) @ x).reshape(x.shape[:-2] + (r, m, x.shape[-1]))
+
+
+def _images(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K_k v for every matrix K_k of an (r, m, n) stack and every vector v
+    of a (..., n) stack; shape (..., r, m)."""
+    return _stack_times(stack, v[..., None])[..., 0]
 
 
 def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,11 +376,13 @@ def _sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _adjoint_sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(sum_k A_k^dag x B_k)^dag = sum_k B_k^dag x^dag A_k for (r, m, n)
-    stacks a and b: one batched product x B_k and one product with the
+    stacks a and b and an m x m matrix x, each possibly with a leading
+    batch axis: one batched product x B_k and one product with the
     flattened A stack, without a conjugated copy of either stack."""
-    r, m, n = a.shape
-    y = np.matmul(x, b)
-    return np.conj(y, out=y).reshape(r * m, n).T @ a.reshape(r * m, n)
+    r, m, n = a.shape[-3:]
+    y = np.matmul(x[..., None, :, :], b)
+    y = np.conj(y, out=y).reshape(y.shape[:-3] + (r * m, n))
+    return y.swapaxes(-1, -2) @ a.reshape(a.shape[:-3] + (r * m, n))
 
 
 def _kraus_gram(stack: np.ndarray) -> np.ndarray:
@@ -375,15 +396,17 @@ def _kraus_gram(stack: np.ndarray) -> np.ndarray:
 
 def kraus_images(ch: QuantumChannel, psi: PureState) -> np.ndarray:
     """The (r, dim_out) stack of the vectors w_k = K_k psi, so that
-    Lambda(|psi><psi|) = W W^dag with the w_k as the columns of W."""
+    Lambda(|psi><psi|) = W W^dag with the w_k as the columns of W; one
+    such stack per probe, (b, r, dim_out), for a (b, dim_in) stack psi."""
     if ch.dim_in != psi.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {psi.dim}")
-    return _stack_times(ch.stack, psi.amplitudes)
+    return _images(ch.stack, psi.amplitudes)
 
 
 def mixture(w: np.ndarray) -> DensityMatrix:
-    """sum_k |w_k><w_k| for an (r, d) stack of vectors w_k."""
-    return _wrap(DensityMatrix, matrix=hermitian_part(w.T @ w.conj()))
+    """sum_k |w_k><w_k| for an (r, d) stack of vectors w_k, or one such
+    sum per (r, d) slice of a (b, r, d) stack."""
+    return _wrap(DensityMatrix, matrix=hermitian_part(w.swapaxes(-1, -2) @ w.conj()))
 
 
 def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
@@ -398,7 +421,7 @@ def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> Density
 
 
 def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> HermitianOperator:
-    """Heisenberg-picture action sum_k K^dag A K."""
+    """Heisenberg-picture action sum_k K^dag A K (of each A of a stack)."""
     if ch.dim_out != a.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {a.dim}")
     # the Hermitian part of the dagger is the Hermitian part of the sum
@@ -417,20 +440,29 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
         )
     # the dagger of the sum has the same asymmetry and Hermitian part
     out = _adjoint_sandwich(dch.stack[0], a.matrix, dch.stack[1])
-    scale = max(1.0, max_abs(out))
-    asym = max_abs(out - dagger(out)) / scale
+    asym = np.max(relative_asymmetry(out))
     if asym > EPS_ADJOINT_HERM:
         raise NumericError(f"derivative adjoint is non-Hermitian (relative asymmetry {asym:.3e})")
     return hermitian_operator(out)
 
 
+def relative_asymmetry(a: np.ndarray) -> np.ndarray:
+    """max |a - a^dag| / max(1, max |a|) of a matrix, or of each matrix of
+    a stack."""
+    axes = (-2, -1)
+    return np.abs(a - dagger(a)).max(axis=axes) / np.maximum(1.0, np.abs(a).max(axis=axes))
+
+
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """The unit columns of v, each multiplied by the phase that makes its
-    largest-magnitude component real and positive (ties broken by lowest
-    index). A unit column's largest component is nonzero; a NaN column
-    stays NaN."""
+    """The unit columns of v (of each matrix of a stack v), each multiplied
+    by the phase that makes its largest-magnitude component real and
+    positive (ties broken by lowest index). A unit column's largest
+    component is nonzero; a NaN column stays NaN."""
+    n, k = v.shape[-2:]
     # argmax returns the lowest index among tied magnitudes
-    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    rows = np.abs(v).argmax(axis=-2).reshape(-1, k)
+    pivot = v.reshape(-1, n, k)[np.arange(len(rows))[:, None], rows, np.arange(k)]
+    pivot = pivot.reshape(v.shape[:-2] + (1, k))
     # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
@@ -438,8 +470,9 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
-    is made real and positive (ties broken by lowest index). An operator
-    the library made is known to be Hermitian; any other is checked."""
+    is made real and positive (ties broken by lowest index); one per
+    matrix of a stack. An operator the library made is known to be
+    Hermitian; any other is checked."""
     if not a._checked and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     w, v = np.linalg.eigh(a.matrix)
@@ -458,7 +491,9 @@ def eigenspace_groups(eig: EigenDecomposition, eps: float):
 
 
 def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
-    """Top eigenvector and a flag for a (near-)degenerate top eigenvalue.
+    """Top eigenvector and a flag for a (near-)degenerate top eigenvalue;
+    for an operator with a leading batch axis, a stack of them and an
+    array of flags, one per operator.
 
     A FactoredOperator sum_k C_k^dag g C_k ((r, m, n) stack C) with
     r*m < n is not formed: with the thin QR C^dag = P R of the flattened
@@ -470,26 +505,28 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
     hermitian_eig does. The degeneracy flag counts the kernel's 0.
     """
     if isinstance(a, FactoredOperator):
-        r, m, n = a.factors.shape
+        r, m, n = a.factors.shape[-3:]
         if r * m >= n:
             a = hermitian_operator(_adjoint_sandwich(a.factors, a.core.matrix, a.factors))
         else:
-            cd = dagger(a.factors.reshape(r * m, n))
+            cd = dagger(a.factors.reshape(a.factors.shape[:-3] + (r * m, n)))
             p, rr = np.linalg.qr(cd)
-            s = rr @ (a.core.matrix @ dagger(rr).reshape(r, m, r * m)).reshape(r * m, r * m)
+            gr = a.core.matrix[..., None, :, :] @ dagger(rr).reshape(rr.shape[:-2] + (r, m, r * m))
+            s = rr @ gr.reshape(gr.shape[:-3] + (r * m, r * m))
             eig = hermitian_eig(hermitian_operator(s))
             w = eig.eigenvalues
-            if w[-1] >= 0.0:
-                v = p @ eig.eigenvectors[:, -1:]
-                degenerate = w[-1] - np.max(w[-2:-1], initial=0.0) <= eps_deg
-            else:
-                v = np.linalg.qr(cd, mode="complete")[0][:, r * m:r * m + 1]
-                degenerate = n - r * m > 1 or -w[-1] <= eps_deg
-            return _wrap(PureState, amplitudes=_phase_fixed(v)[:, 0]), bool(degenerate)
+            v = p @ eig.eigenvectors[..., -1:]
+            degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=0.0) <= eps_deg
+            kernel = ~(w[..., -1] >= 0.0)  # the top eigenvalue is the kernel's 0
+            if kernel.any():
+                q = np.linalg.qr(cd, mode="complete")[0][..., r * m:r * m + 1]
+                v = np.where(kernel[..., None, None], q, v)
+                degenerate = np.where(kernel, (n - r * m > 1) | (-w[..., -1] <= eps_deg), degenerate)
+            return _wrap(PureState, amplitudes=_phase_fixed(v)[..., 0]), _unbatched(degenerate)
     eig = hermitian_eig(a)
     w = eig.eigenvalues
-    degenerate = len(w) > 1 and (w[-1] - w[-2]) <= eps_deg
-    return _wrap(PureState, amplitudes=eig.eigenvectors[:, -1].copy()), degenerate
+    degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=-np.inf) <= eps_deg
+    return _wrap(PureState, amplitudes=eig.eigenvectors[..., -1].copy()), _unbatched(degenerate)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -553,14 +590,15 @@ def _derivative_residuals(a: np.ndarray, b: np.ndarray):
 
 
 def density_violations(m: np.ndarray) -> list:
-    """The hermiticity and unit-trace violations of a density matrix m;
-    positivity, which needs its eigenvalues, is left to the caller."""
+    """The hermiticity and unit-trace violations of a density matrix m, or
+    the largest over a stack of them; positivity, which needs their
+    eigenvalues, is left to the caller."""
     out = []
     r = max_abs(m - dagger(m))
     if not r <= EPS_HERM:
         out.append(Violation("density matrix hermiticity", r))
-    t = complex(np.trace(m))
-    r = abs(t.real - 1.0) + abs(t.imag)
+    t = m.trace(axis1=-2, axis2=-1)
+    r = float((abs(t.real - 1.0) + abs(t.imag)).max())
     if not r <= EPS_TRACE:
         out.append(Violation("density matrix unit trace", r))
     return out
@@ -568,10 +606,12 @@ def density_violations(m: np.ndarray) -> list:
 
 def check_density_spectrum(lam: np.ndarray) -> None:
     """Raise ValidationError unless the ascending eigenvalues lam of a
-    density matrix are all at least -EPS_PSD and the largest is positive."""
-    if not lam[0] >= -EPS_PSD:
-        raise_violations([Violation("density matrix positivity", -float(lam[0]))], "density matrix")
-    if not lam[-1] > 0.0:
+    density matrix (each row of lam, for a stack) are all at least -EPS_PSD
+    and the largest is positive."""
+    low = lam[..., 0].min()
+    if not low >= -EPS_PSD:
+        raise_violations([Violation("density matrix positivity", -float(low))], "density matrix")
+    if not lam[..., -1].min() > 0.0:
         raise ValidationError("density matrix has no positive eigenvalue")
 
 

@@ -19,6 +19,8 @@ from .operators import (
     HermitianOperator,
     PureState,
     QuantumChannel,
+    _unbatched,
+    _wrap,
     channel_adjoint_apply,
     dagger,
     derivative_adjoint_apply,
@@ -26,9 +28,9 @@ from .operators import (
     hermitian_commutator,
     hermitian_operator,
     kraus_images,
-    max_abs,
     max_eigvec,
     mixture,
+    relative_asymmetry,
 )
 from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
 
@@ -60,6 +62,9 @@ class OptimizerConfig:
                     raise ValidationError(f"{name} must be finite")
         if self.tol <= 0:
             raise ValidationError("tol must be positive")
+        for name in ("eps_rank", "eps_deg"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
         if self.restarts < 1:
@@ -84,16 +89,22 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The kept restart's value, probe, trace, stop and warnings, and the
+    final value, step count and stop of every restart, in restart order."""
+
     f_star: float
     psi_star: PureState
     trace: tuple
     converged: bool
     warnings: tuple = ()
     restart_values: tuple = ()
+    restart_iterations: tuple = ()
+    restart_converged: tuple = ()
 
 
 def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator:
-    """G(X) = -X^2 + 2i[H, X]; Hermitian for Hermitian H, X."""
+    """G(X) = -X^2 + 2i[H, X]; Hermitian for Hermitian H, X (either may be
+    a stack)."""
     if x.dim != h.dim:
         raise ValidationError(f"dimension mismatch: X {x.dim}, H {h.dim}")
     g = 2j * hermitian_commutator(h.matrix, x.matrix)
@@ -102,11 +113,13 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
 
 
 def real_expectation(psi: PureState, op: HermitianOperator) -> float:
-    v = psi.amplitudes
-    val = complex(v.conj() @ op.matrix @ v)
-    if abs(val.imag) > EPS_IMAG * max(1.0, abs(val.real)):
-        raise NumericError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    """<psi|op|psi>, which must be real; one value per probe of a stack."""
+    v = psi.amplitudes[..., None]
+    val = (dagger(v) @ op.matrix @ v)[..., 0, 0]
+    imag = np.max(np.abs(val.imag) / np.maximum(1.0, np.abs(val.real)))
+    if imag > EPS_IMAG:
+        raise NumericError(f"expectation has relative imaginary part {imag:.3e}")
+    return _unbatched(val.real)
 
 
 def variational_value(
@@ -127,20 +140,42 @@ def general_objective(
     return hermitian_operator(out)
 
 
-def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
-                     n: int, h: HermitianOperator | None = None):
-    """One alternating step. update(w, psi_n) returns (f_n, M, rank
-    deficit) for the best argument given the output rho_n = W W^dag, with
-    w = kraus_images(ch, psi_n) the (r, dim_out) stack of the columns of
-    W, where M is the objective operator that argument defines (a
-    HermitianOperator or a FactoredOperator); the next state is the top
-    eigenvector of M. Reducibility is tested only against a generator h."""
-    w = kraus_images(ch, psi_n)
-    f_n, m, rank_deficit = update(w, psi_n)
+def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
+              h: HermitianOperator | None):
+    """One alternating step of each probe of the (b, dim_in) stack psi.
+
+    update(w, psi) takes w = kraus_images(ch, psi), the (b, r, dim_out)
+    stack of the columns of each W with rho = W W^dag, and returns, for
+    the best argument given each rho, the values f (b,), the objective
+    operators M they define as one stacked HermitianOperator or
+    FactoredOperator, and the rank deficits (b,); the next probes are the
+    top eigenvectors of M. Reducibility is tested only against a
+    generator h. Returns the next probes and the step's per-probe arrays
+    (f, degenerate, rank deficit, irreducible or None)."""
+    w = kraus_images(ch, psi)
+    f, m, rank_deficit = update(w, psi)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
     irreducible = None if h is None else is_irreducible(w, h, cfg.eps_deg)
-    return psi_next, IterationRecord(n=n, f=f_n, psi=psi_n, degenerate_step=degenerate,
-                                     sld_rank_deficit=rank_deficit, irreducible=irreducible)
+    return psi_next, (f, degenerate, rank_deficit, irreducible)
+
+
+def _record(n: int, psi: PureState, arrays: tuple, j: int) -> IterationRecord:
+    """The record of probe j of the stack psi at step n, from the step's
+    per-probe arrays."""
+    f, degenerate, rank_deficit, irreducible = arrays
+    return IterationRecord(n=n, f=float(f[j]), psi=_wrap(PureState, amplitudes=psi.amplitudes[j]),
+                           degenerate_step=bool(degenerate[j]),
+                           sld_rank_deficit=int(rank_deficit[j]),
+                           irreducible=None if irreducible is None else bool(irreducible[j]))
+
+
+def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
+                     n: int, h: HermitianOperator | None = None):
+    """One alternating step from the probe psi_n: the one-probe case of the
+    lockstep step of run_alternating, with the same update contract."""
+    psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
+    psi_next, arrays = _lockstep(psi, ch, update, cfg, h)
+    return _wrap(PureState, amplitudes=psi_next.amplitudes[0]), _record(n, psi, arrays, 0)
 
 
 def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
@@ -152,22 +187,22 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
     taken on the compressed output Q^dag rho Q with generator Q^dag H Q,
     and M = sum_k C_k^dag g C_k with C_k = Q^dag K_k and g = Q^dag G Q,
     whose top eigenvector max_eigvec takes from its (r*m)-sized small
-    side when r*m < dim_in. Q = 1, the SLD of the full
-    output and M = Lambda^dag(G(L)), unless m <= dim_out / 2 and dim_out
-    >= COMPRESS_MIN_DIM: below that the QR and the extra products cost
-    more than the smaller eigensolves save.
+    side when r*m < dim_in; each probe of a stack has its own Q. Q = 1,
+    the SLD of the full output and M = Lambda^dag(G(L)), unless m <=
+    dim_out / 2 and dim_out >= COMPRESS_MIN_DIM: below that the QR and
+    the extra products cost more than the smaller eigensolves save.
     """
     r, d_out, _ = ch.stack.shape
     compress = d_out >= COMPRESS_MIN_DIM and 6 * r <= d_out
 
-    def update(w, psi_n):
+    def update(w, psi):
         if compress:
-            x = w.T
+            x = w.swapaxes(-1, -2)
             hx = h.matrix @ x
-            q = np.linalg.qr(np.hstack((x, hx, h.matrix @ hx)))[0]
+            q = np.linalg.qr(np.concatenate((x, hx, h.matrix @ hx), axis=-1))[0]
             qd = dagger(q)
             rho, hq = mixture(w @ q.conj()), hermitian_operator(qd @ h.matrix @ q)
-            factors = np.matmul(qd, ch.stack)
+            factors = np.matmul(qd[..., None, :, :], ch.stack)
         else:
             rho, hq, factors = mixture(w), h, ch.stack
         res = sld(rho, hq, cfg.eps_rank)
@@ -195,25 +230,44 @@ def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
 
 def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
                     h: HermitianOperator | None = None) -> OptimizationResult:
-    """Restarted alternating iteration of `update` (see alternating_step),
-    each restart run until the objective changes by at most tol."""
-    best = None
-    restart_values = []
-    for r in range(cfg.restarts):
-        psi = _initial_state(ch.dim_in, cfg, r)
-        trace = []
-        converged = False
-        for n in range(cfg.max_iters):
-            psi, rec = alternating_step(psi, ch, update, cfg, n, h)
-            trace.append(rec)
-            if n > 0 and abs(rec.f - trace[-2].f) <= cfg.tol * max(1.0, abs(rec.f)):
-                converged = True
-                break
-        f_star = trace[-1].f
-        restart_values.append(f_star)
-        if best is None or f_star > best[0] + EPS_TIE * max(1.0, abs(best[0])):
-            best = (f_star, trace[-1].psi, tuple(trace), converged)
-    f_star, psi_star, trace, converged = best
+    """Restarted alternating iteration of `update` (see _lockstep).
+
+    The restarts run in lockstep, as one stack of probes, so that each
+    step is one batched call per operation for all of them. A restart
+    leaves the stack once the objective changes by at most tol, or after
+    max_iters steps. The kept restart is the best, the lowest index among
+    those within EPS_TIE of it."""
+    b = cfg.restarts
+    psi = _wrap(PureState, amplitudes=np.stack(
+        [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
+    active = list(range(b))
+    steps = []  # (active restarts, their probes, the step's arrays) per step
+    values, iterations, converged = [0.0] * b, [0] * b, [False] * b
+    for n in range(cfg.max_iters):
+        psi_next, arrays = _lockstep(psi, ch, update, cfg, h)
+        steps.append((active, psi, arrays))
+        # the stopping rule on Python floats: cheaper than numpy on a few values
+        f = arrays[0].tolist()
+        met = ([abs(x - y) <= cfg.tol * max(1.0, abs(x)) for x, y in zip(f, f_prev)] if n
+               else [False] * len(f))
+        last = n + 1 == cfg.max_iters
+        for k, x, hit in zip(active, f, met):
+            if hit or last:
+                values[k], iterations[k], converged[k] = x, n + 1, hit
+        if last or all(met):
+            break
+        if any(met):
+            keep = [not hit for hit in met]
+            active = [k for k, go in zip(active, keep) if go]
+            f = [x for x, go in zip(f, keep) if go]
+            psi_next = _wrap(PureState, amplitudes=psi_next.amplitudes[keep])
+        psi, f_prev = psi_next, f
+    best = 0
+    for k in range(1, b):
+        if values[k] > values[best] + EPS_TIE * max(1.0, abs(values[best])):
+            best = k
+    trace = tuple(_record(n, probes, arrays, ids.index(best))
+                  for n, (ids, probes, arrays) in enumerate(steps[:iterations[best]]))
     warnings = []
     for label, pred in (
         ("degenerate top eigenvalue", lambda rec: rec.degenerate_step),
@@ -223,15 +277,17 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
         hits = [rec.n for rec in trace if pred(rec)]
         if hits:
             warnings.append(f"{label} at iteration(s) {hits[0]}..{hits[-1]} ({len(hits)} of {len(trace)})")
-    if not converged:
+    if not converged[best]:
         warnings.append(f"stopping rule not met within {cfg.max_iters} iterations")
     return OptimizationResult(
-        f_star=f_star,
-        psi_star=psi_star,
+        f_star=trace[-1].f,
+        psi_star=trace[-1].psi,
         trace=trace,
-        converged=converged,
+        converged=converged[best],
         warnings=tuple(warnings),
-        restart_values=tuple(restart_values),
+        restart_values=tuple(values),
+        restart_iterations=tuple(iterations),
+        restart_converged=tuple(converged),
     )
 
 
@@ -250,14 +306,12 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
 
-    def update(w, psi_n):
-        rho_n = mixture(w)
-        dsigma = dch.apply(psi_n)
-        scale = max(1.0, max_abs(dsigma))
-        if max_abs(dsigma - dsigma.conj().T) > 1e-8 * scale:
+    def update(w, psi):
+        dsigma = dch.apply(psi)
+        if np.max(relative_asymmetry(dsigma)) > 1e-8:
             raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-        res = solve_sld_rhs(rho_n, hermitian_operator(dsigma), cfg.eps_rank)
+        res = solve_sld_rhs(mixture(w), hermitian_operator(dsigma), cfg.eps_rank)
         m = general_objective(res.L, ch, dch)
-        return real_expectation(psi_n, m), m, res.support_dim_deficit
+        return real_expectation(psi, m), m, res.support_dim_deficit
 
     return run_alternating(ch, cfg, update)

@@ -13,6 +13,7 @@ value raises ValidationError before any arithmetic touches it.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -237,6 +238,19 @@ def decode_optimizer(spec, input_state) -> OptimizerConfig:
 def parse_problem(text: str | bytes) -> ProblemFile:
     """Parse and fully validate a problem document, given as text or as the
     bytes of a file (UTF-8, or UTF-16/32 as JSON allows)."""
+    # json.loads and the array decoding make millions of small objects and
+    # no reference cycles; cyclic collection passes over them would take a
+    # quarter of the parse of a large file
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_problem(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_problem(text: str | bytes) -> ProblemFile:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -17,6 +17,7 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     _checked_hermitian,
+    _unbatched,
     _wrap,
     check_density_spectrum,
     dagger,
@@ -36,7 +37,8 @@ class SldResult:
     residual is the Hilbert-Schmidt norm of (1/2){L, rho} - R restricted
     to the blocks where the equation is solvable (everything except the
     null-null block, where L is set to zero by convention), computed from
-    the eigenbasis blocks on first read.
+    the eigenbasis blocks on first read. For a stack of equations L, rank
+    and support_dim_deficit hold one value per equation.
     """
 
     L: HermitianOperator
@@ -56,6 +58,7 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
     Matrix elements with eigenvalue sums below eps_rank * lambda_max are
     in the numerical null-null block and are set to zero. rho is checked
     as a density matrix, its positivity on the eigenvalues found here.
+    rho and R may carry a leading batch axis: one equation per slice.
     """
     raise_violations(density_violations(rho.matrix), "density matrix")
     if rho.dim != r.dim:
@@ -64,14 +67,14 @@ def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e
     eig = hermitian_eig(_checked_hermitian(rho.matrix))
     lam, v = eig.eigenvalues, eig.eigenvectors
     check_density_spectrum(lam)
-    lam_max = float(lam[-1])
+    cut = eps_rank * lam[..., -1:]
 
     vd = dagger(v)
     r_eig = vd @ r.matrix @ v
-    denom = np.add.outer(lam, lam)
-    solvable = denom > eps_rank * lam_max
+    denom = lam[..., :, None] + lam[..., None, :]
+    solvable = denom > cut[..., None]
     x_eig = np.divide(2.0 * r_eig, denom, out=np.zeros(r_eig.shape, complex), where=solvable)
-    rank = int(np.count_nonzero(lam > eps_rank * lam_max))
+    rank = _unbatched((lam > cut).sum(axis=-1))
     return SldResult(hermitian_operator(v @ x_eig @ vd), rank, rho.dim - rank,
                      (solvable, denom, x_eig, r_eig))
 
@@ -88,10 +91,12 @@ def qfi(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> fl
 
 
 def qfi_from_sld(rho: DensityMatrix, res: SldResult) -> float:
+    """Tr{rho L^2}, one value per slice of a stack."""
     l = res.L.matrix
+    shape = l.shape[:-2] + (1, -1)
     # Tr{rho L L} = sum_ij conj(L_ij) (rho L)_ij for Hermitian L
-    value = float(np.real(np.vdot(l, rho.matrix @ l)))
-    return max(value, 0.0)
+    value = l.conj().reshape(shape) @ (rho.matrix @ l).reshape(shape).swapaxes(-1, -2)
+    return _unbatched(np.maximum(value[..., 0, 0].real, 0.0))
 
 
 def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: float = 1e-9) -> bool:
@@ -107,27 +112,27 @@ def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: f
 
     rho is a DensityMatrix, or the (r, d) stack of the vectors w_k of
     rho = sum_k |w_k><w_k| (a channel output's kraus_images), which is
-    read as V^dag W in O(r d^2) without forming rho.
+    read as V^dag W in O(r d^2) without forming rho. Either may carry a
+    leading batch axis; the result is then one flag per slice.
     """
     starts, v_conj, upper = h.eigenspaces(eps)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
     if len(starts) == 1:
-        return True
-
-    if isinstance(rho, DensityMatrix):
-        rho_eig = v_conj.T @ rho.matrix @ h.eig.eigenvectors
-    else:
+        return _unbatched(np.ones(m.shape[:-2], dtype=bool))
+    if m is rho:
         b = rho @ v_conj  # row k: (V^dag w_k)^T
-        rho_eig = b.T @ b.conj()
+        rho_eig = b.swapaxes(-1, -2) @ b.conj()
+    else:
+        rho_eig = v_conj.T @ m @ h.eig.eigenvectors
     # groups x groups: True where some element of rho above the diagonal joins the two groups
-    linked = np.logical_or.reduceat((np.abs(rho_eig) > eps) & upper, starts, axis=0)
-    linked = np.logical_or.reduceat(linked, starts, axis=1)
-    linked |= linked.T
-    reached = np.zeros(len(starts), dtype=bool)
-    reached[0] = True
-    count = 1
+    linked = (np.abs(rho_eig) > eps) & upper
+    if len(starts) < len(upper):  # merge the rows and columns of each group (slow at d=64)
+        linked = np.logical_or.reduceat(linked, starts, axis=-2)
+        linked = np.logical_or.reduceat(linked, starts, axis=-1)
+    linked |= linked.swapaxes(-1, -2)
+    reached = np.arange(len(starts)) == 0
     while True:
-        reached |= linked[reached].any(axis=0)
-        grown = int(np.count_nonzero(reached))
-        if grown == count:
-            return grown == len(starts)
-        count = grown
+        grown = reached | (reached[..., :, None] & linked).any(axis=-2)
+        if grown.all() or (grown == reached).all():
+            return _unbatched(grown.all(axis=-1))
+        reached = grown

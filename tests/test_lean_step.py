@@ -113,16 +113,18 @@ def count_calls(monkeypatch, *names):
 class TestStepWork:
     @pytest.mark.parametrize("route", ["qfi", "general", "cfi"])
     def test_one_top_eigenvector_per_step(self, route, monkeypatch):
+        # one call per lockstep step serves every restart
         ch, h, povm = instance(4, 2)
         calls = count_calls(monkeypatch, "operators.max_eigvec")
-        result = solve(route, ch, h, povm, OptimizerConfig(restarts=1, max_iters=6, tol=1e-300))
+        result = solve(route, ch, h, povm, OptimizerConfig(restarts=3, max_iters=6, tol=1e-300))
         assert calls == {"operators.max_eigvec": len(result.trace)}
 
     def test_dense_covariant_step(self, monkeypatch):
-        # per step: one density check and one eigensolve of the output, one
-        # eigensolve of the objective operator, and no second Hermiticity
-        # check of either; the generator's eigensolve, with its check, and
-        # its eigenspace groups once per solve, over all restarts
+        # per lockstep step, for all restarts at once: one density check and
+        # one eigensolve of the outputs, one eigensolve of the objective
+        # operators, and no second Hermiticity check of either; the
+        # generator's eigensolve, with its check, and its eigenspace groups
+        # once per solve
         ch, h, _ = instance(8, 8)
         calls = count_calls(monkeypatch, "operators.density_violations", "operators.hermitian_eig",
                             "operators.eigenspace_groups")
@@ -130,7 +132,8 @@ class TestStepWork:
         monkeypatch.setattr(HermitianOperator, "herm_residual",
                             lambda op: calls.update(["herm_residual"]) or residual(op))
         result = optimize(ch, h, OptimizerConfig(restarts=3, max_iters=5, tol=1e-300))
-        steps = 3 * len(result.trace)
+        assert result.restart_iterations == (5, 5, 5)
+        steps = len(result.trace)
         assert calls == {"operators.density_violations": steps,
                          "operators.hermitian_eig": 2 * steps + 1,
                          "operators.eigenspace_groups": 1,

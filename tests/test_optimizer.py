@@ -29,6 +29,7 @@ from qfimax import (
     variational_value,
 )
 from qfimax import operators
+from qfimax.operators import hermitian_operator
 from qfimax.optimizer import run_alternating
 from qfimax.problem import parse_problem
 from qfimax.oracles import brute_force_max_qfi
@@ -247,10 +248,12 @@ class TestOptimize:
 class TestRestartTies:
     @staticmethod
     def _ending_at(values):
-        """A stub update whose restart k holds f = values[k] for two steps."""
-        fs = iter(np.repeat(values, 2))
-        m = HermitianOperator(np.diag([0.0, 1.0]))
-        return lambda rho_n, psi_n: (float(next(fs)), m, 0)
+        """A stub update under which restart k holds f = values[k] from the
+        first step on, so that every restart stops at the second."""
+        def update(w, psi):
+            m = hermitian_operator(np.broadcast_to(np.diag([0.0, 1.0]), (len(w), 2, 2)))
+            return np.array(values), m, np.zeros(len(w), dtype=int)
+        return update
 
     @pytest.mark.parametrize("values, winner", [([1.0, 1.0 + 1e-15, 1.0 + 1e-9], 2),
                                                 ([1.0, 1.0 + 1e-15], 0)])
@@ -258,6 +261,8 @@ class TestRestartTies:
         cfg = OptimizerConfig(restarts=len(values), max_iters=5)
         result = run_alternating(identity_channel(2), cfg, self._ending_at(values))
         assert result.restart_values == tuple(values)
+        assert result.restart_iterations == (2,) * len(values)
+        assert result.restart_converged == (True,) * len(values)
         assert result.f_star == values[winner]
 
     def test_degenerate_optimum_keeps_first_restart(self):

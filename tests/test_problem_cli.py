@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -95,6 +96,25 @@ class TestParseProblem:
         h = pf.generator.matrix
         expected = -1j * (h @ rho - rho @ h)
         np.testing.assert_allclose(pf.derivative_channel.apply(rho), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("text", [MINIMAL, problem_text(extra_knob=1)])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_garbage_collection_off_while_parsing(self, text, enabled, monkeypatch):
+        # collection is off while parsing, and back as it was afterwards,
+        # after a valid document and after a rejected one
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda t: seen.append(gc.isenabled()) or loads(t))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                parse_problem(text)
+            except ValidationError:
+                pass
+            assert seen == [False] and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_bundled_problems_parse(self):
         paths = sorted(PROBLEMS.glob("*.json"))
@@ -261,6 +281,10 @@ class TestCliExitCodes:
         ("string-restarts", "qfi-max", {"optimizer": {"restarts": "3"}}, []),
         ("negative-seed-file", "qfi-max", {"optimizer": {"seed": -1}}, []),
         ("negative-seed-flag", "qfi-max", {}, ["--seed", "-1"]),
+        # a negative rank cut divides by zero in the SLD solve
+        ("negative-eps-rank", "qfi-max", {"optimizer": {"eps_rank": -1}}, []),
+        # a negative resolution splits exactly degenerate generator eigenvalues
+        ("negative-eps-deg", "qfi-max", {"optimizer": {"eps_deg": -1e-9}}, []),
         ("zero-delta", "qfi-max-general", {"derivative_channel": {"finite_difference": {
             "family": {"preset": "unitary", "params": {"exponent": json.loads(MINIMAL)["generator"]},
                        "phi": True}, "delta": 0}}}, []),
@@ -371,6 +395,24 @@ class TestCliBehavior:
         main(["qfi-max", "--problem", str(path), "--quiet"])
         report = json.loads(capsys.readouterr().out)
         assert report["trace"] == [] and report["iterations"] > 0
+
+    @pytest.mark.parametrize("command", ["qfi-max", "qfi-max-general", "cfi-max", "qfi-eval"])
+    def test_restart_summaries(self, command, tmp_path, capsys):
+        # one {f, iterations, converged} per restart, in restart order, kept
+        # with --quiet; the kept restart's entry is the run the report shows
+        doc = json.loads((PROBLEMS / "general_commuting_dephasing.json").read_text())
+        doc.update(povm={"preset": "sigma_y"}, input_state=encode_array(np.ones(2) / np.sqrt(2)),
+                   optimizer={"restarts": 3, "seed": 4})
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--problem", str(path), "--quiet"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        if command == "qfi-eval":
+            assert report["restarts"] == []
+            return
+        assert [sorted(entry) for entry in report["restarts"]] == [["converged", "f", "iterations"]] * 3
+        kept = [entry for entry in report["restarts"] if entry["f"] == report["f_star"]][0]
+        assert (kept["iterations"], kept["converged"]) == (report["iterations"], report["converged"])
 
     def test_sld_report_details(self, tmp_path, capsys):
         path = tmp_path / "p.json"
