@@ -15,10 +15,8 @@ from .operators import (
     PureState,
     QuantumChannel,
     Violation,
-    anticommutator,
     channel_adjoint_apply,
     channel_apply,
-    commutator,
     commuting_derivative,
     derivative_adjoint_apply,
     finite_difference_derivative,

@@ -71,11 +71,14 @@ class OutcomeStatistics:
 
 
 def _check_sums(probs: np.ndarray, dprobs: np.ndarray) -> None:
-    """Raise ValidationError unless the probabilities sum to 1 and their
-    derivatives to 0 (each row, for a stack)."""
-    for sums, target, what in ((probs.sum(axis=-1), 1.0, "probabilities"),
-                               (dprobs.sum(axis=-1), 0.0, "probability derivatives")):
-        bad = np.abs(np.atleast_1d(sums) - target) > 1e-8
+    """Raise ValidationError unless the probabilities sum to 1 within 1e-8
+    and their derivatives to 0 within 1e-8 * max(1, sum_j |dp_j|) (each
+    row, for a stack): the derivatives scale with the generator, and so
+    does the roundoff of their sum."""
+    scale = np.maximum(1.0, np.abs(dprobs).sum(axis=-1))
+    for sums, target, tol, what in ((probs.sum(axis=-1), 1.0, 1e-8, "probabilities"),
+                                    (dprobs.sum(axis=-1), 0.0, 1e-8 * scale, "probability derivatives")):
+        bad = np.atleast_1d(np.abs(sums - target) > tol)
         if bad.any():
             raise ValidationError(f"{what} sum to {np.atleast_1d(sums)[bad][0]}, not {target:g}")
 

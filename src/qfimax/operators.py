@@ -53,11 +53,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(a))
-
-
 def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
@@ -332,27 +327,11 @@ class Violation:
 # operations
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"commutator: shapes {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def hermitian_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] for Hermitian a and b, from one product: ab - (ab)^dag,
     which is exactly anti-Hermitian."""
     ab = a @ b
     return ab - dagger(ab)
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"anticommutator: shapes {a.shape} vs {b.shape}")
-    return a @ b + b @ a
 
 
 def _stack_times(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -467,15 +446,23 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
+def _eigh(a: HermitianOperator) -> tuple:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a (of
+    each matrix of a stack), in no phase convention: for callers that read
+    no eigenvector's phase, or fix it on the columns they keep. An operator
+    the library made is known to be Hermitian; any other is checked."""
+    if not a._checked and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
+        raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
+    return np.linalg.eigh(a.matrix)
+
+
 def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
     is made real and positive (ties broken by lowest index); one per
     matrix of a stack. An operator the library made is known to be
     Hermitian; any other is checked."""
-    if not a._checked and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
-        raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
-    w, v = np.linalg.eigh(a.matrix)
+    w, v = _eigh(a)
     return _wrap(EigenDecomposition, eigenvalues=w, eigenvectors=_phase_fixed(v))
 
 
@@ -501,8 +488,9 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
     eigenvalues are those of the (r*m)-sized S and the 0 of the kernel of
     C, of dimension n - r*m. Its top eigenvector is P u for the top
     eigenvector u of S or, when every eigenvalue of S is negative, the
-    first kernel column of the complete QR of C^dag, phase-fixed as
-    hermitian_eig does. The degeneracy flag counts the kernel's 0.
+    first kernel column of the complete QR of C^dag. The degeneracy flag
+    counts the kernel's 0. Either way the vector returned is phase-fixed
+    as hermitian_eig does, and only that vector is.
     """
     if isinstance(a, FactoredOperator):
         r, m, n = a.factors.shape[-3:]
@@ -513,9 +501,8 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
             p, rr = np.linalg.qr(cd)
             gr = a.core.matrix[..., None, :, :] @ dagger(rr).reshape(rr.shape[:-2] + (r, m, r * m))
             s = rr @ gr.reshape(gr.shape[:-3] + (r * m, r * m))
-            eig = hermitian_eig(hermitian_operator(s))
-            w = eig.eigenvalues
-            v = p @ eig.eigenvectors[..., -1:]
+            w, u = _eigh(hermitian_operator(s))
+            v = p @ u[..., -1:]
             degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=0.0) <= eps_deg
             kernel = ~(w[..., -1] >= 0.0)  # the top eigenvalue is the kernel's 0
             if kernel.any():
@@ -523,10 +510,9 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
                 v = np.where(kernel[..., None, None], q, v)
                 degenerate = np.where(kernel, (n - r * m > 1) | (-w[..., -1] <= eps_deg), degenerate)
             return _wrap(PureState, amplitudes=_phase_fixed(v)[..., 0]), _unbatched(degenerate)
-    eig = hermitian_eig(a)
-    w = eig.eigenvalues
+    w, v = _eigh(a)
     degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=-np.inf) <= eps_deg
-    return _wrap(PureState, amplitudes=eig.eigenvectors[..., -1].copy()), _unbatched(degenerate)
+    return _wrap(PureState, amplitudes=_phase_fixed(v[..., -1:])[..., 0]), _unbatched(degenerate)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -593,15 +579,16 @@ def density_violations(m: np.ndarray) -> list:
     """The hermiticity and unit-trace violations of a density matrix m, or
     the largest over a stack of them; positivity, which needs their
     eigenvalues, is left to the caller."""
-    out = []
     r = max_abs(m - dagger(m))
-    if not r <= EPS_HERM:
-        out.append(Violation("density matrix hermiticity", r))
-    t = m.trace(axis1=-2, axis2=-1)
+    out = [] if r <= EPS_HERM else [Violation("density matrix hermiticity", r)]
+    return out + trace_violations(m.trace(axis1=-2, axis2=-1))
+
+
+def trace_violations(t: np.ndarray) -> list:
+    """The unit-trace violation of density matrices with traces t, the
+    largest over a stack."""
     r = float((abs(t.real - 1.0) + abs(t.imag)).max())
-    if not r <= EPS_TRACE:
-        out.append(Violation("density matrix unit trace", r))
-    return out
+    return [] if r <= EPS_TRACE else [Violation("density matrix unit trace", r)]
 
 
 def check_density_spectrum(lam: np.ndarray) -> None:

@@ -29,7 +29,6 @@ from .operators import (
     hermitian_operator,
     kraus_images,
     max_eigvec,
-    mixture,
     relative_asymmetry,
 )
 from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
@@ -38,6 +37,7 @@ INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
 COMPRESS_MIN_DIM = 24  # smallest output dimension at which a covariant step is compressed
+FLAG_BLOCK_ENTRIES = 1 << 10  # output matrix entries per block of the reducibility test
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ def general_objective(
     return hermitian_operator(out)
 
 
-def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
-              h: HermitianOperator | None):
+def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig):
     """One alternating step of each probe of the (b, dim_in) stack psi.
 
     update(w, psi) takes w = kraus_images(ch, psi), the (b, r, dim_out)
@@ -149,33 +148,49 @@ def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
     the best argument given each rho, the values f (b,), the objective
     operators M they define as one stacked HermitianOperator or
     FactoredOperator, and the rank deficits (b,); the next probes are the
-    top eigenvectors of M. Reducibility is tested only against a
-    generator h. Returns the next probes and the step's per-probe arrays
-    (f, degenerate, rank deficit, irreducible or None)."""
+    top eigenvectors of M. Returns the next probes and the step's
+    per-probe arrays (f, degenerate, rank deficit)."""
     w = kraus_images(ch, psi)
     f, m, rank_deficit = update(w, psi)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
-    irreducible = None if h is None else is_irreducible(w, h, cfg.eps_deg)
-    return psi_next, (f, degenerate, rank_deficit, irreducible)
+    return psi_next, (f, degenerate, rank_deficit)
 
 
-def _record(n: int, psi: PureState, arrays: tuple, j: int) -> IterationRecord:
-    """The record of probe j of the stack psi at step n, from the step's
-    per-probe arrays."""
-    f, degenerate, rank_deficit, irreducible = arrays
-    return IterationRecord(n=n, f=float(f[j]), psi=_wrap(PureState, amplitudes=psi.amplitudes[j]),
+def _irreducible(ch: QuantumChannel, probes: list, h: HermitianOperator | None, eps: float) -> list:
+    """is_irreducible of the output of each probe in the list of amplitude
+    vectors probes against h, in stacks of at most FLAG_BLOCK_ENTRIES
+    output matrix entries; None for each without a generator."""
+    if h is None:
+        return [None] * len(probes)
+    block = max(1, FLAG_BLOCK_ENTRIES // ch.dim_out ** 2)
+    flags = []
+    for i in range(0, len(probes), block):
+        psi = _wrap(PureState, amplitudes=np.stack(probes[i:i + block]))
+        flags.extend(is_irreducible(kraus_images(ch, psi), h, eps))
+    return flags
+
+
+def _record(n: int, amplitudes: np.ndarray, arrays: tuple, j: int, irreducible) -> IterationRecord:
+    """The record of step n from the probe's amplitudes, entry j of the
+    step's per-probe arrays and the probe's reducibility flag (None
+    without a generator)."""
+    f, degenerate, rank_deficit = arrays
+    return IterationRecord(n=n, f=float(f[j]), psi=_wrap(PureState, amplitudes=amplitudes),
                            degenerate_step=bool(degenerate[j]),
                            sld_rank_deficit=int(rank_deficit[j]),
-                           irreducible=None if irreducible is None else bool(irreducible[j]))
+                           irreducible=None if irreducible is None else bool(irreducible))
 
 
 def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
                      n: int, h: HermitianOperator | None = None):
     """One alternating step from the probe psi_n: the one-probe case of the
-    lockstep step of run_alternating, with the same update contract."""
+    lockstep step of run_alternating, with the same update contract.
+    Reducibility is tested only against a generator h."""
     psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
-    psi_next, arrays = _lockstep(psi, ch, update, cfg, h)
-    return _wrap(PureState, amplitudes=psi_next.amplitudes[0]), _record(n, psi, arrays, 0)
+    psi_next, arrays = _lockstep(psi, ch, update, cfg)
+    irreducible = _irreducible(ch, [psi_n.amplitudes], h, cfg.eps_deg)[0]
+    return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
+            _record(n, psi_n.amplitudes, arrays, 0, irreducible))
 
 
 def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
@@ -190,7 +205,9 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
     side when r*m < dim_in; each probe of a stack has its own Q. Q = 1,
     the SLD of the full output and M = Lambda^dag(G(L)), unless m <=
     dim_out / 2 and dim_out >= COMPRESS_MIN_DIM: below that the QR and
-    the extra products cost more than the smaller eigensolves save.
+    the extra products cost more than the smaller eigensolves save. The
+    SLD is solved from the images (sld), so from W's thin SVD whenever r
+    is below the (compressed) output dimension.
     """
     r, d_out, _ = ch.stack.shape
     compress = d_out >= COMPRESS_MIN_DIM and 6 * r <= d_out
@@ -201,13 +218,13 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
             hx = h.matrix @ x
             q = np.linalg.qr(np.concatenate((x, hx, h.matrix @ hx), axis=-1))[0]
             qd = dagger(q)
-            rho, hq = mixture(w @ q.conj()), hermitian_operator(qd @ h.matrix @ q)
+            w, hq = w @ q.conj(), hermitian_operator(qd @ h.matrix @ q)
             factors = np.matmul(qd[..., None, :, :], ch.stack)
         else:
-            rho, hq, factors = mixture(w), h, ch.stack
-        res = sld(rho, hq, cfg.eps_rank)
+            hq, factors = h, ch.stack
+        res = sld(w, hq, cfg.eps_rank)
         m = FactoredOperator(factors, objective_g(res.L, hq))
-        return qfi_from_sld(rho, res), m, d_out - res.rank
+        return qfi_from_sld(w, res), m, d_out - res.rank
 
     return update
 
@@ -236,7 +253,8 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     step is one batched call per operation for all of them. A restart
     leaves the stack once the objective changes by at most tol, or after
     max_iters steps. The kept restart is the best, the lowest index among
-    those within EPS_TIE of it."""
+    those within EPS_TIE of it. Reducibility is tested only against a
+    generator h, and only on the kept restart's probes, once it is known."""
     b = cfg.restarts
     psi = _wrap(PureState, amplitudes=np.stack(
         [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
@@ -244,7 +262,7 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     steps = []  # (active restarts, their probes, the step's arrays) per step
     values, iterations, converged = [0.0] * b, [0] * b, [False] * b
     for n in range(cfg.max_iters):
-        psi_next, arrays = _lockstep(psi, ch, update, cfg, h)
+        psi_next, arrays = _lockstep(psi, ch, update, cfg)
         steps.append((active, psi, arrays))
         # the stopping rule on Python floats: cheaper than numpy on a few values
         f = arrays[0].tolist()
@@ -266,8 +284,10 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     for k in range(1, b):
         if values[k] > values[best] + EPS_TIE * max(1.0, abs(values[best])):
             best = k
-    trace = tuple(_record(n, probes, arrays, ids.index(best))
-                  for n, (ids, probes, arrays) in enumerate(steps[:iterations[best]]))
+    kept = [(ids.index(best), p, arrays) for ids, p, arrays in steps[:iterations[best]]]
+    flags = _irreducible(ch, [p.amplitudes[j] for j, p, _ in kept], h, cfg.eps_deg)
+    trace = tuple(_record(n, p.amplitudes[j], arrays, j, flag)
+                  for n, ((j, p, arrays), flag) in enumerate(zip(kept, flags)))
     warnings = []
     for label, pred in (
         ("degenerate top eigenvalue", lambda rec: rec.degenerate_step),
@@ -310,7 +330,7 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
         dsigma = dch.apply(psi)
         if np.max(relative_asymmetry(dsigma)) > 1e-8:
             raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-        res = solve_sld_rhs(mixture(w), hermitian_operator(dsigma), cfg.eps_rank)
+        res = solve_sld_rhs(w, hermitian_operator(dsigma), cfg.eps_rank)
         m = general_objective(res.L, ch, dch)
         return real_expectation(psi, m), m, res.support_dim_deficit
 

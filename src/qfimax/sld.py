@@ -1,14 +1,16 @@
 """Symmetric logarithmic derivative solver and quantum Fisher information.
 
 The defining equation (1/2){L, rho} = -i[H, rho] is the single source of
-truth; the solver works in rho's eigenbasis and is verified through its
-residual rather than any transcribed closed form.
+truth; the solver works in rho's eigenbasis, or on the support of a
+low-rank rho = W W^dag given by W, and is verified through its residual
+rather than any transcribed closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -17,15 +19,16 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     _checked_hermitian,
+    _eigh,
     _unbatched,
-    _wrap,
     check_density_spectrum,
     dagger,
     density_violations,
     hermitian_commutator,
-    hermitian_eig,
     hermitian_operator,
+    mixture,
     raise_violations,
+    trace_violations,
 )
 
 
@@ -36,63 +39,150 @@ class SldResult:
     rank is the numerical rank of rho; support_dim_deficit = dim - rank.
     residual is the Hilbert-Schmidt norm of (1/2){L, rho} - R restricted
     to the blocks where the equation is solvable (everything except the
-    null-null block, where L is set to zero by convention), computed from
-    the eigenbasis blocks on first read. For a stack of equations L, rank
-    and support_dim_deficit hold one value per equation.
+    null-null block, where L is set to zero by convention), computed on
+    first read. For a stack of equations L, rank and support_dim_deficit
+    hold one value per equation.
     """
 
     L: HermitianOperator
     rank: int
     support_dim_deficit: int
-    blocks: tuple = field(repr=False, compare=False)  # (solvable, denom, X, R) in rho's eigenbasis
+    # () -> ((defect on a solvable block, how often the block occurs in the matrix), ...)
+    defects: Callable = field(repr=False, compare=False)
 
     @cached_property
     def residual(self) -> float:
-        solvable, denom, x_eig, r_eig = self.blocks
-        return float(np.linalg.norm(np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0)))
+        return float(np.sqrt(sum(n * np.linalg.norm(d) ** 2 for d, n in self.defects())))
 
 
-def solve_sld_rhs(rho: DensityMatrix, r: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
-    """Solve (1/2){X, rho} = R for Hermitian X in rho's eigenbasis.
+def _spectrum(rho: DensityMatrix | np.ndarray, other: HermitianOperator, name: str):
+    """rho checked as a density matrix of the dimension of the operator
+    `other` (named `name` in the error), as (m, None) for an eigensolve of
+    its matrix m, or as (None, (V, lam)) with rho = V diag(lam) V^dag,
+    lam descending, from the thin SVD of W.
 
-    Matrix elements with eigenvalue sums below eps_rank * lambda_max are
-    in the numerical null-null block and are set to zero. rho is checked
-    as a density matrix, its positivity on the eigenvalues found here.
-    rho and R may carry a leading batch axis: one equation per slice.
-    """
-    raise_violations(density_violations(rho.matrix), "density matrix")
-    if rho.dim != r.dim:
-        raise ValidationError(f"dimension mismatch: rho {rho.dim}, rhs {r.dim}")
-    # density_violations has checked rho's Hermiticity, more tightly than hermitian_eig would
-    eig = hermitian_eig(_checked_hermitian(rho.matrix))
-    lam, v = eig.eigenvalues, eig.eigenvectors
-    check_density_spectrum(lam)
-    cut = eps_rank * lam[..., -1:]
+    rho is a DensityMatrix (every invariant is checked), or the (r, d)
+    stack of the vectors w_k, the columns of W (a channel output's
+    kraus_images). W W^dag is Hermitian by construction, so only its
+    trace, sum |w_k|^2, and its spectrum are checked. The thin SVD
+    W = V diag(s) U^dag is taken when r < d: rho has rank at most r and
+    lam = s^2. Positivity on the eigensolve path is left to the caller."""
+    dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
+    if dim != other.dim:
+        raise ValidationError(f"dimension mismatch: rho {dim}, {name} {other.dim}")
+    if isinstance(rho, DensityMatrix):
+        raise_violations(density_violations(rho.matrix), "density matrix")
+        return rho.matrix, None
+    raise_violations(trace_violations((rho * rho.conj()).real.sum(axis=(-2, -1))), "density matrix")
+    if rho.shape[-2] >= rho.shape[-1]:
+        return mixture(rho).matrix, None
+    _, s, vh = np.linalg.svd(rho, full_matrices=False)
+    lam = s * s
+    check_density_spectrum(lam[..., ::-1])
+    return None, (vh.swapaxes(-1, -2), lam)
 
-    vd = dagger(v)
-    r_eig = vd @ r.matrix @ v
+
+def _in_basis(lam: np.ndarray, r_basis: np.ndarray, cut: np.ndarray):
+    """(denom, solvable, X) of (1/2){X, diag(lam)} = R_basis: X_ij =
+    2 R_ij / (lam_i + lam_j) where that sum is above cut, 0 elsewhere."""
     denom = lam[..., :, None] + lam[..., None, :]
     solvable = denom > cut[..., None]
-    x_eig = np.divide(2.0 * r_eig, denom, out=np.zeros(r_eig.shape, complex), where=solvable)
+    x = np.divide(2.0 * r_basis, denom, out=np.zeros(r_basis.shape, complex), where=solvable)
+    return denom, solvable, x
+
+
+def _solve_eigh(m: np.ndarray, rhs: np.ndarray, eps_rank: float) -> SldResult:
+    """The solve in the eigenbasis of the Hermitian matrix m (eigenvector
+    phases do not enter L)."""
+    lam, v = _eigh(_checked_hermitian(m))
+    check_density_spectrum(lam)
+    cut = eps_rank * lam[..., -1:]
+    vd = dagger(v)
+    r_eig = vd @ rhs @ v
+    denom, solvable, x_eig = _in_basis(lam, r_eig, cut)
     rank = _unbatched((lam > cut).sum(axis=-1))
-    return SldResult(hermitian_operator(v @ x_eig @ vd), rank, rho.dim - rank,
-                     (solvable, denom, x_eig, r_eig))
+    return SldResult(hermitian_operator(v @ x_eig @ vd), rank, m.shape[-1] - rank,
+                     lambda: ((np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0), 1),))
 
 
-def sld(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
-    """SLD of the covariant family e^{-i phi H} rho e^{i phi H}."""
-    rhs = _wrap(HermitianOperator, matrix=-1j * hermitian_commutator(h.matrix, rho.matrix))
-    return solve_sld_rhs(rho, rhs, eps_rank)
+def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.ndarray,
+                   eps_rank: float) -> SldResult:
+    """The solve for rho = V diag(lam) V^dag, given R's blocks r_vv =
+    V^dag R V and r_pv = P R V (P = 1 - V V^dag), in O(d^2 r): L = V X V^dag
+    + T V^dag + V T^dag, X the support block and T = 2 P R V diag(lam)^-1
+    on the columns with lam above the cut, the support-kernel block."""
+    cut = eps_rank * lam[..., :1]
+    denom, solvable, x = _in_basis(lam, r_vv, cut)
+    on = (lam > cut)[..., None, :]
+    t2 = np.divide(4.0 * r_pv, lam[..., None, :], out=np.zeros(r_pv.shape, complex), where=on)
+    # with A = V X + 2T, L = (A V^dag + V A^dag) / 2 = hermitian_part(A V^dag)
+    vd = dagger(v)
+    l = hermitian_operator((v @ x + t2) @ vd)
+    rank = _unbatched(on.sum(axis=-1)[..., 0])
+
+    def defects():
+        lv = l.matrix @ v
+        l_vv = vd @ lv
+        vv = 0.5 * (l_vv * lam[..., None, :] + lam[..., :, None] * l_vv) - r_vv
+        pv = 0.5 * (lv - v @ l_vv) * lam[..., None, :] - r_pv
+        return (np.where(solvable, vv, 0.0), 1), (np.where(on, pv, 0.0), 2)
+
+    return SldResult(l, rank, v.shape[-2] - rank, defects)
 
 
-def qfi(rho: DensityMatrix, h: HermitianOperator, eps_rank: float = 1e-12) -> float:
+def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
+                  eps_rank: float = 1e-12) -> SldResult:
+    """Solve (1/2){X, rho} = R for Hermitian X.
+
+    Matrix elements with eigenvalue sums below eps_rank * lambda_max are
+    in the numerical null-null block and are set to zero. rho is a
+    DensityMatrix, solved in its eigenbasis, or the (r, d) stack of the
+    vectors w_k of rho = sum_k |w_k><w_k| (see _spectrum), solved from
+    W's thin SVD when r < d. rho and R may carry a leading batch axis: one
+    equation per slice.
+    """
+    m, support = _spectrum(rho, r, "rhs")
+    if support is None:
+        return _solve_eigh(m, r.matrix, eps_rank)
+    v, lam = support
+    vd = dagger(v)
+    rv = r.matrix @ v
+    r_vv = vd @ rv
+    r_pv = rv - v @ r_vv
+    # project twice: a part of P R V left along V, divided by a small lam, would enter X
+    r_pv -= v @ (vd @ r_pv)
+    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+
+
+def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
+    """SLD of the covariant family e^{-i phi H} rho e^{i phi H}, for rho
+    as solve_sld_rhs takes it."""
+    m, support = _spectrum(rho, h, "H")
+    if support is None:
+        return _solve_eigh(m, -1j * hermitian_commutator(h.matrix, m), eps_rank)
+    v, lam = support
+    # R = -i[H, rho]: V^dag R V = -i (H_vv diag(lam) - diag(lam) H_vv), with
+    # H_vv = V^dag H V, and P R V = -i P H V diag(lam), so T = -2i P H V
+    # carries no roundoff divided by a small lam
+    hv = h.matrix @ v
+    h_vv = dagger(v) @ hv
+    r_vv = -1j * (h_vv * lam[..., None, :] - lam[..., :, None] * h_vv)
+    r_pv = -1j * (hv - v @ h_vv) * lam[..., None, :]
+    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+
+
+def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> float:
     """Quantum Fisher information Tr{rho L^2}."""
     return qfi_from_sld(rho, sld(rho, h, eps_rank))
 
 
-def qfi_from_sld(rho: DensityMatrix, res: SldResult) -> float:
-    """Tr{rho L^2}, one value per slice of a stack."""
+def qfi_from_sld(rho: DensityMatrix | np.ndarray, res: SldResult) -> float:
+    """Tr{rho L^2}, one value per slice of a stack; for the images w_k of
+    rho = sum_k |w_k><w_k|, sum_k |L w_k|^2."""
     l = res.L.matrix
+    if not isinstance(rho, DensityMatrix):
+        lw = l @ rho.swapaxes(-1, -2)
+        return _unbatched((lw * lw.conj()).real.sum(axis=(-2, -1)))
     shape = l.shape[:-2] + (1, -1)
     # Tr{rho L L} = sum_ij conj(L_ij) (rho L)_ij for Hermitian L
     value = l.conj().reshape(shape) @ (rho.matrix @ l).reshape(shape).swapaxes(-1, -2)

@@ -1,8 +1,29 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and matrix helpers for the test suite."""
 
 import numpy as np
 
-from qfimax import DensityMatrix, HermitianOperator, Povm, QuantumChannel
+from qfimax import DensityMatrix, DimensionMismatch, HermitianOperator, Povm, QuantumChannel
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"commutator: shapes {a.shape} vs {b.shape}")
+    return a @ b - b @ a
+
+
+def anticommutator(a, b):
+    """{a, b} = ab + ba."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"anticommutator: shapes {a.shape} vs {b.shape}")
+    return a @ b + b @ a
+
+
+def hs_norm(a):
+    """Hilbert-Schmidt (Frobenius) norm."""
+    return float(np.linalg.norm(a))
 
 
 def random_hermitian(dim, rng, scale=1.0):

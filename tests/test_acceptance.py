@@ -34,7 +34,7 @@ from qfimax import (
 )
 from qfimax.cfi import EstimatorCoefficients
 from qfimax.cli import main
-from qfimax.operators import SIGMA_Y, SIGMA_Z, haar_state, hs_norm
+from qfimax.operators import SIGMA_Y, SIGMA_Z, haar_state
 from qfimax.oracles import (
     DiscreteModel,
     GaussianPrior,
@@ -44,7 +44,7 @@ from qfimax.oracles import (
     pure_state_qfi,
 )
 
-from helpers import random_channel, random_density, random_hermitian, random_povm
+from helpers import hs_norm, random_channel, random_density, random_hermitian, random_povm
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 H_Z = HermitianOperator(SIGMA_Z / 2.0)

@@ -155,6 +155,27 @@ class TestFixedMeasurementOptimizer:
                 assert b.f >= a.f - 1e-9 * max(1.0, a.f)
 
 
+class TestGeneratorScale:
+    # the derivatives dp scale with H, and so does the roundoff of their sum
+    @pytest.mark.parametrize("d, r", [(4, 2), (8, 8)])
+    def test_value_scales_as_the_square(self, d, r):
+        rng = np.random.default_rng([d, r, 5])
+        ch, h, povm = random_channel(d, rng, n_kraus=r), random_hermitian(d, rng), random_povm(d, rng)
+        cfg = OptimizerConfig(restarts=2, seed=1)
+        values = [optimize_fixed_measurement(ch, HermitianOperator(c * h.matrix), povm, cfg).f_star / c ** 2
+                  for c in (1.0, 1e4, 1e8)]
+        assert values == pytest.approx([values[0]] * 3, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("dprobs", [[1e8, -1e8 + 10.0], [0.5, -0.4], [3e-8, 0.0]])
+    def test_a_corrupted_derivative_row_is_rejected(self, dprobs):
+        with pytest.raises(ValidationError, match="probability derivatives sum to"):
+            OutcomeStatistics([0.5, 0.5], dprobs, ("0", "1"))
+
+    def test_large_derivatives_that_sum_to_zero_pass(self):
+        stats = OutcomeStatistics([0.5, 0.5], [1e8, -1e8 + 0.5], ("0", "1"))
+        assert stats.dprobs[0] == 1e8
+
+
 class TestDataProcessing:
     def test_classical_bounded_by_quantum(self):
         rng = np.random.default_rng(13)

@@ -120,22 +120,24 @@ class TestStepWork:
         assert calls == {"operators.max_eigvec": len(result.trace)}
 
     def test_dense_covariant_step(self, monkeypatch):
-        # per lockstep step, for all restarts at once: one density check and
-        # one eigensolve of the outputs, one eigensolve of the objective
-        # operators, and no second Hermiticity check of either; the
-        # generator's eigensolve, with its check, and its eigenspace groups
-        # once per solve
+        # per lockstep step, for all restarts at once: one eigensolve of the
+        # outputs (r = d: no thin SVD), one of the objective operators, no
+        # phase convention and no Hermiticity check of either, and no
+        # density_violations call (the outputs are the library's, checked
+        # for trace and spectrum only); the generator's phase-fixed
+        # eigensolve, with its check, and its eigenspace groups once per
+        # solve, for the reducibility test of the kept trace
         ch, h, _ = instance(8, 8)
         calls = count_calls(monkeypatch, "operators.density_violations", "operators.hermitian_eig",
-                            "operators.eigenspace_groups")
+                            "operators._eigh", "operators.eigenspace_groups")
         residual = HermitianOperator.herm_residual
         monkeypatch.setattr(HermitianOperator, "herm_residual",
                             lambda op: calls.update(["herm_residual"]) or residual(op))
         result = optimize(ch, h, OptimizerConfig(restarts=3, max_iters=5, tol=1e-300))
         assert result.restart_iterations == (5, 5, 5)
         steps = len(result.trace)
-        assert calls == {"operators.density_violations": steps,
-                         "operators.hermitian_eig": 2 * steps + 1,
+        assert calls == {"operators._eigh": 2 * steps + 1,
+                         "operators.hermitian_eig": 1,
                          "operators.eigenspace_groups": 1,
                          "herm_residual": 1}
 

@@ -11,6 +11,8 @@ from qfimax import (
     DensityMatrix,
     HermitianOperator,
     OptimizerConfig,
+    PureState,
+    channel_apply,
     classical_fi,
     commuting_derivative,
     is_irreducible,
@@ -20,7 +22,9 @@ from qfimax import (
     optimize_general,
     outcome_statistics,
     sld,
+    step,
 )
+from qfimax.channels import identity_channel, pauli_basis_povm
 from qfimax import optimizer
 from qfimax.operators import FactoredOperator, haar_state, hermitian_operator, mixture
 from qfimax.sld import qfi_from_sld
@@ -79,12 +83,12 @@ def test_each_restart_is_its_own_solve(route, d, r, max_iters, monkeypatch):
         assert batched.restart_converged[k] == one.converged
         assert batched.restart_values[k] == pytest.approx(one.f_star, rel=1e-12, abs=0)
         # restart k's slice of each step it took: the restarts still running, in order
-        mine = [tuple(a[[j for j in range(cfg.restarts) if iterations[j] > n].index(k)]
-                      if a is not None else None for a in arrays)
+        mine = [tuple(a[[j for j in range(cfg.restarts) if iterations[j] > n].index(k)] for a in arrays)
                 for n, arrays in enumerate(steps[:iterations[k]])]
         assert [f for f, *_ in mine] == pytest.approx([rec.f for rec in one.trace], rel=1e-12, abs=0)
-        assert [(bool(deg), int(deficit), None if irr is None else bool(irr))
-                for _, deg, deficit, irr in mine] == rows(one.trace)
+        # reducibility is tested on the kept restart's trace only, after the loop
+        assert [(bool(deg), int(deficit)) for _, deg, deficit in mine] == \
+            [(rec.degenerate_step, rec.sld_rank_deficit) for rec in one.trace]
 
     # the kept restart's trace, probe and warnings are those of its own solve
     values, best = batched.restart_values, 0
@@ -140,11 +144,15 @@ def test_stacked_kernels_are_their_single_calls():
     top_dense, deg_dense = max_eigvec(dense)
     irreducible = is_irreducible(w, h)
     assert list(irreducible) == [True, False, True]
+    res_w = sld(w, h)  # r < d: from the thin SVD of each W
     for k in range(b):
         one = DensityMatrix(rho.matrix[k])
         res_k = sld(one, h)
         assert np.array_equal(res.L.matrix[k], res_k.L.matrix) and res.rank[k] == res_k.rank
         assert qfi_from_sld(rho, res)[k] == qfi_from_sld(one, res_k)
+        res_k = sld(w[k], h)
+        assert np.array_equal(res_w.L.matrix[k], res_k.L.matrix) and res_w.rank[k] == res_k.rank
+        assert qfi_from_sld(w, res_w)[k] == qfi_from_sld(w[k], res_k)
         assert irreducible[k] == is_irreducible(w[k], h) == is_irreducible(one, h)
         psi, deg = max_eigvec(FactoredOperator(small.factors[k], hermitian_operator(g[k])))
         assert np.array_equal(top_small.amplitudes[k], psi.amplitudes) and deg_small[k] == deg
@@ -153,3 +161,44 @@ def test_stacked_kernels_are_their_single_calls():
         stats_k = outcome_statistics(one, h, povm)
         assert np.array_equal(stats.probs[k], stats_k.probs)
         assert classical_fi(stats)[k] == classical_fi(stats_k)
+
+
+def _reducibility_cases():
+    """(label, channel, generator, POVM, config): the eigenvector start of
+    acceptance criterion 9, whose every iterate is reducible, and a
+    degenerate generator (eigenvalues 0, 0, 1, 1, 1, 2) with 3 restarts."""
+    h_z = HermitianOperator(np.diag([0.5, -0.5]))
+    stuck = OptimizerConfig(restarts=1, init_mode="user_supplied",
+                            initial_state=PureState(np.array([1.0, 0.0])))
+    rng = np.random.default_rng(41)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    h = HermitianOperator(u @ np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]) @ u.conj().T)
+    return [("eigenvector start", identity_channel(2), h_z, pauli_basis_povm("x"), stuck),
+            ("degenerate generator", random_channel(6, rng, n_kraus=2), h, random_povm(6, rng),
+             OptimizerConfig(restarts=3, seed=3, max_iters=40))]
+
+
+@pytest.mark.parametrize("route", ["qfi", "cfi"])
+def test_deferred_flags_are_the_per_step_flags(route, monkeypatch):
+    # reducibility is tested once, on the kept restart's probes, in blocks
+    # (here of at most 3 probes): each flag is that of its probe's output
+    seen = []
+    for label, ch, h, povm, cfg in _reducibility_cases():
+        calls = []
+        monkeypatch.setattr(optimizer, "FLAG_BLOCK_ENTRIES", 3 * ch.dim_out ** 2)
+        monkeypatch.setattr(optimizer, "is_irreducible",
+                            lambda w, h, eps: calls.append(len(w)) or is_irreducible(w, h, eps))
+        result = solve(route, ch, h, povm, cfg)
+        monkeypatch.undo()
+        n = len(result.trace)
+        assert sum(calls) == n and max(calls) <= 3 and len(calls) == -(-n // 3), label
+        for rec in result.trace:
+            expected = is_irreducible(channel_apply(ch, rec.psi), h, cfg.eps_deg)
+            assert rec.irreducible is expected, (label, rec.n)
+            if route == "qfi":
+                assert step(rec.psi, ch, h, cfg, rec.n)[1].irreducible is expected, (label, rec.n)
+        seen += [rec.irreducible for rec in result.trace]
+        if label == "eigenvector start":
+            assert not any(rec.irreducible for rec in result.trace)
+            assert any("reducible iterate" in w for w in result.warnings)
+    assert True in seen and False in seen

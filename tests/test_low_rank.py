@@ -69,7 +69,8 @@ def isometry_channel(d_out, d_in, r, rng, first_column=None):
 
 
 def eig_sizes(monkeypatch):
-    """Counter of hermitian_eig calls by matrix size while the test runs."""
+    """Counter of the eigensolves made while the test runs: by matrix size,
+    and as ("svd", rows, columns) for thin SVDs of image stacks."""
     sizes = collections.Counter()
 
     def counted(f):
@@ -78,8 +79,15 @@ def eig_sizes(monkeypatch):
             return f(a)
         return wrapper
 
+    def counted_svd(f):
+        def wrapper(a, *args, **kwargs):
+            sizes[("svd",) + a.shape[-2:]] += 1
+            return f(a, *args, **kwargs)
+        return wrapper
+
     for module in (operators, importlib.import_module("qfimax.sld")):
-        monkeypatch.setattr(module, "hermitian_eig", counted(module.hermitian_eig))
+        monkeypatch.setattr(module, "_eigh", counted(module._eigh))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd(np.linalg.svd))
     return sizes
 
 
@@ -94,7 +102,9 @@ class TestCompressedStep:
         h.eig  # noqa: B018  (the generator's eigensolve, once, outside the count)
         sizes = eig_sizes(monkeypatch)
         step(psi, ch, h, CFG)
-        assert sizes == {9: 1, (d if d < 27 else 27): 1}
+        # the SLD from the thin SVD of the (3, 9) compressed images, the top
+        # eigenvector from one eigensolve
+        assert sizes == {("svd", 3, 9): 1, (d if d < 27 else 27): 1}
         monkeypatch.undo()
         assert_matches_dense(psi, ch, h)
 
@@ -148,8 +158,10 @@ class TestCompressedStep:
         assert_matches_dense(psi, ch, h, n_steps=2)
 
     def test_two_small_eigensolves_per_step(self, monkeypatch):
-        # d = 32, r = 2: m = 6 and r*m = 12; the generator's d-sized
-        # eigensolve happens once per solve, for the reducibility test
+        # d = 32, r = 2: m = 6 and r*m = 12. Per step, the SLD from the thin
+        # SVD of the (2, 6) compressed images and the top eigenvector from
+        # the 12-sized small side; the generator's d-sized eigensolve once
+        # per solve, for the reducibility test of the kept trace
         rng = np.random.default_rng(6)
         ch, h = random_channel(32, rng, n_kraus=2), random_hermitian(32, rng)
         sizes = eig_sizes(monkeypatch)
@@ -159,7 +171,7 @@ class TestCompressedStep:
         monkeypatch.setattr(operators, "validate", lambda obj: pytest.fail("validate called"))
         result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
         n = len(result.trace)
-        assert sizes == {6: n, 12: n, 32: 1}
+        assert sizes == {("svd", 2, 6): n, 12: n, 32: 1}
         assert tops == {32: n}
 
     def test_trace_is_iterated_step(self):

@@ -12,10 +12,8 @@ from qfimax import (
     Povm,
     PureState,
     QuantumChannel,
-    anticommutator,
     channel_adjoint_apply,
     channel_apply,
-    commutator,
     commuting_derivative,
     compose_channels,
     dephasing_channel,
@@ -31,7 +29,14 @@ from qfimax import (
 )
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_part
 
-from helpers import random_channel, random_density, random_hermitian, random_povm
+from helpers import (
+    anticommutator,
+    commutator,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_povm,
+)
 
 I2 = np.eye(2, dtype=complex)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))

@@ -214,9 +214,10 @@ class TestOptimize:
         assert optimize(ch, h, cfg).f_star == pytest.approx(f_star, rel=1e-12, abs=0)
 
     def test_one_eigensolve_per_matrix(self, monkeypatch):
-        # per step: the output state (SLD solve) and the objective operator
-        # (top eigenvector); the generator once per solve; no validate call
-        calls = {"hermitian_eig": 0, "validate": 0}
+        # per step: the output state (SLD solve, r = d) and the objective
+        # operator (top eigenvector), neither phase-fixed; the generator
+        # once per solve, phase-fixed; no validate call
+        calls = {"_eigh": 0, "hermitian_eig": 0, "validate": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -226,12 +227,13 @@ class TestOptimize:
 
         # the package's `sld` attribute is the function, not the module
         for module in (operators, importlib.import_module("qfimax.sld")):
-            monkeypatch.setattr(module, "hermitian_eig", counted("hermitian_eig", module.hermitian_eig))
+            monkeypatch.setattr(module, "_eigh", counted("_eigh", module._eigh))
+        monkeypatch.setattr(operators, "hermitian_eig", counted("hermitian_eig", operators.hermitian_eig))
         monkeypatch.setattr(operators, "validate", counted("validate", operators.validate))
         rng = np.random.default_rng(8)
         ch, h = random_channel(4, rng), random_hermitian(4, rng)
         result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
-        assert calls == {"hermitian_eig": 2 * len(result.trace) + 1, "validate": 0}
+        assert calls == {"_eigh": 2 * len(result.trace) + 1, "hermitian_eig": 1, "validate": 0}
 
     def test_x_update_is_optimal(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,26 @@ from qfimax import (
     HermitianOperator,
     PureState,
     ValidationError,
-    commutator,
     is_irreducible,
     qfi,
     sld,
     solve_sld_rhs,
 )
-from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_part, hs_norm
+from qfimax.operators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    hermitian_operator,
+    hermitian_part,
+    mixture,
+)
+from qfimax.sld import qfi_from_sld
 
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import commutator, hs_norm, random_density, random_hermitian, random_unitary
+
+# the package's `sld` attribute is the function, not the module
+sld_module = importlib.import_module("qfimax.sld")
 
 I2 = np.eye(2, dtype=complex)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -221,3 +234,103 @@ class TestSldProperties:
         rotated = qfi(DensityMatrix(u @ rho.matrix @ dagger(u)),
                       HermitianOperator(u @ h.matrix @ dagger(u)))
         assert rotated == pytest.approx(qfi(rho, h), abs=1e-8, rel=1e-8)
+
+
+def _images(shape, rng):
+    """Random images w_k, the rows of an (..., r, d) stack, with sum_k |w_k|^2 = 1
+    per slice."""
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return w / np.linalg.norm(w, axis=(-2, -1), keepdims=True)
+
+
+def _assert_same_solve(low, dense):
+    scale = np.linalg.norm(dense.L.matrix)
+    np.testing.assert_allclose(low.L.matrix, dense.L.matrix, rtol=0, atol=1e-12 * scale)
+    assert np.array_equal(low.rank, dense.rank)
+    assert np.array_equal(low.support_dim_deficit, dense.support_dim_deficit)
+    assert low.residual <= 1e-10 and dense.residual <= 1e-10
+    assert abs(low.residual - dense.residual) <= 1e-10
+
+
+class TestImagesPath:
+    """The SLD from the images w_k of rho = W W^dag: from W's thin SVD when
+    r < d, against the eigenbasis solve of the DensityMatrix W W^dag."""
+
+    # (batch shape, r, d); (4,) and (3,) are stacks, as the compressed covariant step passes
+    @pytest.mark.parametrize("batch, r, d", [((), 1, 3), ((), 2, 5), ((), 3, 16), ((4,), 2, 6),
+                                             ((3,), 3, 9), ((), 4, 4), ((2,), 5, 3)])
+    def test_matches_the_dense_solve(self, batch, r, d):
+        rng = np.random.default_rng(100 * r + d)
+        w = _images(batch + (r, d), rng)
+        rho = mixture(w)
+        h = random_hermitian(d, rng)
+        _assert_same_solve(sld(w, h), sld(rho, h))
+        rhs = hermitian_operator(rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d)))
+        _assert_same_solve(solve_sld_rhs(w, rhs), solve_sld_rhs(rho, rhs))
+        np.testing.assert_allclose(qfi_from_sld(w, sld(w, h)), qfi_from_sld(rho, sld(rho, h)),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_residual_is_the_defining_equation(self, d):
+        # with R = -i[H, rho] the null-null block of R is 0, so the whole
+        # defect (1/2){L, rho} - R is the residual
+        rng = np.random.default_rng(d)
+        w = _images((2, d), rng)
+        rho, h = mixture(w).matrix, random_hermitian(d, rng)
+        res = sld(w, h)
+        l = res.L.matrix
+        defect = 0.5 * (l @ rho + rho @ l) + 1j * commutator(h.matrix, rho)
+        assert res.residual <= 1e-12 and hs_norm(defect) <= 1e-12
+        assert abs(res.residual - hs_norm(defect)) <= 1e-12
+
+    def test_colinear_images(self):
+        # w_1 and w_2 are parallel, w_3 = 0: a pure output, rank 1
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        w = np.stack([a, (0.5 - 2j) * a, np.zeros(6)])
+        w /= np.linalg.norm(w)
+        h = random_hermitian(6, rng)
+        res = sld(w, h)
+        assert (res.rank, res.support_dim_deficit) == (1, 5)
+        _assert_same_solve(res, sld(mixture(w), h))
+        psi = PureState(a / np.linalg.norm(a))
+        assert qfi_from_sld(w, res) == pytest.approx(qfi(psi.projector(), h), rel=1e-12)
+
+    @pytest.mark.parametrize("ratio, rank", [(4.0, 2), (0.25, 1)])
+    def test_singular_value_at_the_cut(self, ratio, rank):
+        # lambda_2 = ratio * eps_rank * lambda_1: just above or just below the cut
+        d, eps_rank = 5, 1e-12
+        rng = np.random.default_rng(int(ratio * 4))
+        v = random_unitary(d, rng)[:, :2]
+        u = random_unitary(2, rng)
+        lam = np.array([1.0, ratio * eps_rank])
+        lam /= lam.sum()
+        w = (v * np.sqrt(lam) @ u.conj().T).T  # rows w_k: W = V diag(s) U^dag
+        h = random_hermitian(d, rng)
+        rho = mixture(w)
+        rhs = hermitian_operator(-1j * commutator(h.matrix, rho.matrix))
+        dense = sld(rho, h, eps_rank)
+        for res in (sld(w, h, eps_rank), solve_sld_rhs(w, rhs, eps_rank)):
+            assert res.rank == dense.rank == rank
+            assert res.support_dim_deficit == dense.support_dim_deficit == d - rank
+            # near the cut L is ill-conditioned, but it must still solve the equation:
+            # a part of R V along V, divided by lambda_2, would not
+            l = res.L.matrix
+            assert res.residual <= 1e-12
+            assert hs_norm(0.5 * (l @ rho.matrix + rho.matrix @ l) - rhs.matrix) <= 1e-12
+
+    def test_trace_is_checked_but_not_hermiticity(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        w = _images((2, 4), rng)
+        with pytest.raises(ValidationError, match="invalid density matrix: density matrix unit trace"):
+            sld(2.0 * w, HermitianOperator(np.eye(4)))
+        with pytest.raises(ValidationError, match="unit trace"):
+            sld(np.full((2, 4), np.nan + 0j), HermitianOperator(np.eye(4)))
+        monkeypatch.setattr(sld_module, "density_violations",
+                            lambda m: pytest.fail("Hermiticity re-checked"))
+        sld(w, HermitianOperator(np.eye(4)))
+        sld(_images((5, 4), rng), HermitianOperator(np.eye(4)))
+
+    def test_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            sld(_images((2, 4), np.random.default_rng(0)), H_Z)
