@@ -294,10 +294,12 @@ class EigenDecomposition:
 class FactoredOperator:
     """The Hermitian operator sum_k C_k^dag g C_k on C^n, held as the
     (r, m, n) stack `factors` of the C_k and the m x m Hermitian `core` g,
-    without forming it. Lambda^dag(G) is the case C = the Kraus stack,
-    g = G; a compressed one has C_k = Q^dag K_k, g = Q^dag G Q for G
-    supported on the range of an isometry Q. Either may carry a leading
-    batch axis, one operator per probe of a stack."""
+    without forming it. The covariant step holds Lambda^dag(G) this way
+    (C = the Kraus stack, g = G) only when r*m < n, for max_eigvec's
+    small side, and otherwise forms it as a Gram product; a compressed
+    one has C_k = Q^dag K_k, g = Q^dag G Q for G supported on the range
+    of an isometry Q. Either may carry a leading batch axis, one operator
+    per probe of a stack."""
 
     factors: np.ndarray
     core: HermitianOperator
@@ -365,12 +367,15 @@ def _adjoint_sandwich(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray
 
 
 def _kraus_gram(stack: np.ndarray) -> np.ndarray:
-    """sum_k K_k^dag K_k for an (r, m, n) stack, as one real product of the
-    flattened stack's (re, im) view with itself: no conjugated copy."""
-    n = stack.shape[2]
-    x = stack.reshape(-1, n).view(float)  # columns re K[:, 0], im K[:, 0], re K[:, 1], ...
-    p = (x.T @ x).reshape(n, 2, n, 2)
-    return (p[:, 0, :, 0] + p[:, 1, :, 1]) + 1j * (p[:, 0, :, 1] - p[:, 1, :, 0])
+    """sum_k K_k^dag K_k for an (r, m, n) stack, or one such sum per slice
+    of a (..., r, m, n) stack: one real product x^T x per slice of the
+    flattened stack's (re, im) view x, no conjugated copy. numpy runs
+    x^T x as a symmetric rank-k update, whose result is exactly symmetric,
+    so the sum is exactly Hermitian."""
+    n = stack.shape[-1]
+    x = stack.reshape(stack.shape[:-3] + (-1, n)).view(float)  # columns re K[:, 0], im K[:, 0], ...
+    p = (x.swapaxes(-1, -2) @ x).reshape(x.shape[:-2] + (n, 2, n, 2))
+    return (p[..., 0, :, 0] + p[..., 1, :, 1]) + 1j * (p[..., 0, :, 1] - p[..., 1, :, 0])
 
 
 def kraus_images(ch: QuantumChannel, psi: PureState) -> np.ndarray:

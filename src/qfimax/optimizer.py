@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import DimensionMismatch, NumericError, ValidationError
 from .operators import (
     DerivativeChannel,
     FactoredOperator,
     HermitianOperator,
     PureState,
     QuantumChannel,
+    _checked_hermitian,
+    _kraus_gram,
     _unbatched,
     _wrap,
     channel_adjoint_apply,
@@ -37,7 +39,7 @@ INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
 COMPRESS_MIN_DIM = 24  # smallest output dimension at which a covariant step is compressed
-FLAG_BLOCK_ENTRIES = 1 << 10  # output matrix entries per block of the reducibility test
+FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibility test
 
 
 @dataclass(frozen=True)
@@ -132,12 +134,15 @@ def variational_value(
 def general_objective(
     x: HermitianOperator, ch: QuantumChannel, dch: DerivativeChannel
 ) -> HermitianOperator:
-    """-Lambda^dag(X^2) + 2 Lambda'^dag(X) for a general channel family."""
-    x2 = hermitian_operator(x.matrix @ x.matrix)
-    a = channel_adjoint_apply(ch, x2).matrix
+    """-Lambda^dag(X^2) + 2 Lambda'^dag(X) for a general channel family (of
+    each X of a stack). Lambda^dag(X^2) = sum_k (X K_k)^dag (X K_k) is one
+    Gram product, exactly Hermitian, as the Hermitized derivative adjoint
+    is, so their difference is too."""
+    if ch.dim_out != x.dim:
+        raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {x.dim}")
     out = 2.0 * derivative_adjoint_apply(dch, x).matrix
-    out -= a
-    return hermitian_operator(out)
+    out -= _kraus_gram(np.matmul(x.matrix[..., None, :, :], ch.stack))
+    return _checked_hermitian(out)
 
 
 def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig):
@@ -208,11 +213,27 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
     the extra products cost more than the smaller eigensolves save. The
     SLD is solved from the images (sld), so from W's thin SVD whenever r
     is below the (compressed) output dimension.
+
+    Uncompressed, M is formed only when r*dim_out >= dim_in (else it is
+    left factored for max_eigvec's small side), from the completed square
+    G(L) = 4 Ht^2 - B^dag B with B = L + 2i Ht, for any shift Ht = H - mu 1:
+    M = 4 Lambda^dag(Ht^2) - sum_k (B K_k)^dag (B K_k), the first term
+    made once per solve, the second one Gram product per step, and both
+    exactly Hermitian. mu, the middle of H's spectrum, keeps the two terms
+    no larger than G needs: for H + c 1 unshifted, both grow as c^2 and
+    their difference loses digits.
     """
-    r, d_out, _ = ch.stack.shape
+    r, d_out, d_in = ch.stack.shape
     compress = d_out >= COMPRESS_MIN_DIM and 6 * r <= d_out
+    formed = not compress and r * d_out >= d_in
+    if formed:
+        lam = h.eig.eigenvalues
+        ht = h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(d_out)
+        square = 4.0 * _kraus_gram(np.matmul(ht, ch.stack))  # 4 Lambda^dag(Ht^2)
+        two_i_ht = 2j * ht
 
     def update(w, psi):
+        hq, factors = h, ch.stack
         if compress:
             x = w.swapaxes(-1, -2)
             hx = h.matrix @ x
@@ -220,10 +241,12 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
             qd = dagger(q)
             w, hq = w @ q.conj(), hermitian_operator(qd @ h.matrix @ q)
             factors = np.matmul(qd[..., None, :, :], ch.stack)
-        else:
-            hq, factors = h, ch.stack
         res = sld(w, hq, cfg.eps_rank)
-        m = FactoredOperator(factors, objective_g(res.L, hq))
+        if formed:
+            b = np.matmul((res.L.matrix + two_i_ht)[..., None, :, :], ch.stack)
+            m = _checked_hermitian(square - _kraus_gram(b))
+        else:
+            m = FactoredOperator(factors, objective_g(res.L, hq))
         return qfi_from_sld(w, res), m, d_out - res.rank
 
     return update

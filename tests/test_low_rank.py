@@ -1,8 +1,10 @@
-"""The compressed covariant step against a dense reference, and metamorphic
-invariances of optimize at dimensions the compressed step makes cheap."""
+"""The compressed and the formed covariant step against dense references,
+and metamorphic invariances of optimize."""
 
 import collections
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +12,32 @@ import pytest
 from qfimax import (
     HermitianOperator,
     OptimizerConfig,
+    Povm,
     PureState,
     QuantumChannel,
     channel_adjoint_apply,
     channel_apply,
+    commuting_derivative,
     is_irreducible,
     max_eigvec,
     objective_g,
     optimize,
+    optimize_fixed_measurement,
+    optimize_general,
     sld,
     step,
 )
 from qfimax import operators, optimizer
-from qfimax.operators import FactoredOperator, dagger, haar_state, hermitian_part, validate
+from qfimax.operators import (
+    FactoredOperator,
+    _kraus_gram,
+    _wrap,
+    dagger,
+    haar_state,
+    hermitian_part,
+    kraus_images,
+    validate,
+)
 from qfimax.sld import qfi_from_sld
 
 from helpers import random_channel, random_hermitian, random_unitary
@@ -274,3 +289,87 @@ class TestMetamorphic:
         ch, h, psi0, trace, _ = instance
         np.testing.assert_allclose(_run(ch, HermitianOperator(0.3 * h.matrix), psi0),
                                    0.09 * trace, rtol=1e-10)
+
+    @pytest.mark.parametrize("route", ["qfi", "general", "cfi"])
+    def test_generator_shift_on_every_route(self, route, sweep_instances):
+        # f_star of H + c 1 is f_star of H: at c = 1e3 within 1e-12 with the
+        # same iteration counts and warnings (worst seen 7.7e-14), at c = 1e6
+        # within 2e-10 (worst seen 5.5e-11), where the stopping rule may end a
+        # restart a step earlier or later. The covariant step's formed M, a
+        # difference of two Gram products, meets the second bound only with
+        # H centred: uncentred it moved f_star by up to 1.1e-9.
+        cfg = OptimizerConfig(restarts=2, seed=5)
+        for ch, h, povm in sweep_instances:
+            def solve(g):
+                if route == "qfi":
+                    return optimize(ch, g, cfg)
+                if route == "general":
+                    return optimize_general(ch, commuting_derivative(ch, g), cfg)
+                return optimize_fixed_measurement(ch, g, povm, cfg)
+
+            base = solve(h)
+            for c, rel in ((1e3, 1e-12), (1e6, 2e-10)):
+                res = solve(HermitianOperator(h.matrix + c * np.eye(h.dim)))
+                assert res.f_star == pytest.approx(base.f_star, rel=rel, abs=0)
+                if c == 1e3:
+                    assert (res.restart_iterations, res.warnings) == \
+                        (base.restart_iterations, base.warnings)
+
+
+@pytest.fixture(scope="module")
+def sweep_instances():
+    """(channel, generator, POVM) of the benchmark's converge sweep
+    (bench/inputs.py) at (d, r) = (4, 2), (4, 4), (8, 8) and (16, 2)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(QuantumChannel(tuple(raw["kraus"])), HermitianOperator(raw["h"]), Povm(tuple(raw["povm"])))
+            for raw in inputs.converge_instances()
+            if (raw["d"], raw["r"]) in ((4, 2), (4, 4), (8, 8), (16, 2))]
+
+
+class TestFormedObjective:
+    """The uncompressed covariant step forms M = Lambda^dag(G(L)) as
+    4 Lambda^dag(Ht^2) - sum_k (B K_k)^dag (B K_k), B = L + 2i Ht, when
+    r*d_out >= d_in, and leaves it factored otherwise."""
+
+    def test_batched_gram(self):
+        rng = np.random.default_rng(17)
+        y = rng.standard_normal((3, 2, 5, 6)) + 1j * rng.standard_normal((3, 2, 5, 6))
+        g = _kraus_gram(y)
+        ref = np.einsum("brmi,brmj->bij", y.conj(), y)
+        assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(g, dagger(g))
+        for k in range(len(y)):
+            assert np.array_equal(g[k], _kraus_gram(y[k]))
+
+    @pytest.mark.parametrize("d_in, d_out, r", [(6, 4, 2), (8, 8, 8), (12, 12, 1), (16, 16, 2), (32, 32, 8)])
+    def test_formed_m_is_the_adjoint_of_g(self, d_in, d_out, r):
+        rng = np.random.default_rng(d_in * d_out * r)
+        ch, h = isometry_channel(d_out, d_in, r, rng), random_hermitian(d_out, rng)
+        psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
+        w = kraus_images(ch, psi)
+        f, m, _ = optimizer._sld_update(ch, h, CFG)(w, psi)
+        assert isinstance(m, HermitianOperator) and np.array_equal(m.matrix, dagger(m.matrix))
+        res = sld(w, h, CFG.eps_rank)
+        ref = channel_adjoint_apply(ch, objective_g(res.L, h)).matrix
+        assert np.abs(m.matrix - ref).max() <= 1e-12 * np.abs(m.matrix).max()
+        assert np.array_equal(f, qfi_from_sld(w, res))
+
+    def test_small_side_stays_factored(self):
+        # r*d_out = 6 < d_in = 9: no channel is trace preserving there, so the
+        # Kraus stack is scaled to give the one probe an output of unit trace
+        rng = np.random.default_rng(93)
+        c = rng.standard_normal((2, 3, 9)) + 1j * rng.standard_normal((2, 3, 9))
+        psi = haar_state(9, rng)
+        ch = QuantumChannel(tuple(c / np.linalg.norm(c @ psi.amplitudes)))
+        h = random_hermitian(3, rng)
+        w = kraus_images(ch, _wrap(PureState, amplitudes=psi.amplitudes[None]))
+        _, m, _ = optimizer._sld_update(ch, h, CFG)(w, psi)
+        assert isinstance(m, FactoredOperator) and m.factors is ch.stack
+        ref = channel_adjoint_apply(ch, objective_g(sld(w, h, CFG.eps_rank).L, h))
+        psi, flag = max_eigvec(m)
+        ref_psi, ref_flag = max_eigvec(ref)
+        assert np.array_equal(flag, ref_flag)
+        np.testing.assert_allclose(psi.amplitudes, ref_psi.amplitudes, rtol=0, atol=1e-12)

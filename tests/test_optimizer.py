@@ -7,16 +7,19 @@ import pytest
 
 from qfimax import (
     DerivativeChannel,
+    DimensionMismatch,
     HermitianOperator,
     NumericError,
     OptimizerConfig,
     PureState,
+    QuantumChannel,
     ValidationError,
     channel_adjoint_apply,
     channel_apply,
     commuting_derivative,
     compose_channels,
     dephasing_channel,
+    derivative_adjoint_apply,
     finite_difference_derivative,
     general_objective,
     identity_channel,
@@ -29,7 +32,7 @@ from qfimax import (
     variational_value,
 )
 from qfimax import operators
-from qfimax.operators import hermitian_operator
+from qfimax.operators import dagger, hermitian_operator
 from qfimax.optimizer import run_alternating
 from qfimax.problem import parse_problem
 from qfimax.oracles import brute_force_max_qfi
@@ -290,6 +293,27 @@ class TestGeneralObjective:
         reduced = channel_adjoint_apply(ch, objective_g(x, H_Z))
         np.testing.assert_allclose(general_objective(x, ch, dch).matrix,
                                    reduced.matrix, atol=1e-8)
+
+    def test_stack_on_a_non_square_channel(self):
+        # one exactly Hermitian operator per X of a stack, each the sandwich
+        # form -Lambda^dag(X^2) + 2 Lambda'^dag(X)
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        ch = QuantumChannel(tuple(np.linalg.qr(g)[0].reshape(2, 4, 6)))
+        dch = commuting_derivative(ch, random_hermitian(4, rng))
+        x = hermitian_operator(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+        out = general_objective(x, ch, dch).matrix
+        assert np.array_equal(out, dagger(out))
+        for k in range(3):
+            xk = HermitianOperator(x.matrix[k])
+            ref = (2.0 * derivative_adjoint_apply(dch, xk).matrix
+                   - channel_adjoint_apply(ch, HermitianOperator(xk.matrix @ xk.matrix)).matrix)
+            np.testing.assert_allclose(out[k], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_dimension_mismatch(self):
+        dch = commuting_derivative(identity_channel(2), H_Z)
+        with pytest.raises(DimensionMismatch):
+            general_objective(HermitianOperator(np.eye(3)), identity_channel(2), dch)
 
     def test_zero_derivative_is_negative_semidefinite(self):
         dch = DerivativeChannel(((np.zeros((2, 2)), np.zeros((2, 2))),))
