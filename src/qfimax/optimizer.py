@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericError, ValidationError
 from .operators import (
+    EPS_ADJOINT_HERM,
     DerivativeChannel,
     FactoredOperator,
     HermitianOperator,
@@ -186,18 +187,6 @@ def _record(n: int, amplitudes: np.ndarray, arrays: tuple, j: int, irreducible) 
                            irreducible=None if irreducible is None else bool(irreducible))
 
 
-def alternating_step(psi_n: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig,
-                     n: int, h: HermitianOperator | None = None):
-    """One alternating step from the probe psi_n: the one-probe case of the
-    lockstep step of run_alternating, with the same update contract.
-    Reducibility is tested only against a generator h."""
-    psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
-    psi_next, arrays = _lockstep(psi, ch, update, cfg)
-    irreducible = _irreducible(ch, [psi_n.amplitudes], h, cfg.eps_deg)[0]
-    return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
-            _record(n, psi_n.amplitudes, arrays, 0, irreducible))
-
-
 def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
     """Covariant update: the SLD L of the output rho and M = Lambda^dag(G(L)).
 
@@ -254,9 +243,15 @@ def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
 
 def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
          cfg: OptimizerConfig, n: int = 0):
-    """One covariant alternating step: SLD of the current output, then the
-    top eigenvector of Lambda^dag(G(L))."""
-    return alternating_step(psi_n, ch, _sld_update(ch, h, cfg), cfg, n, h)
+    """One covariant alternating step from the probe psi_n: SLD of the
+    current output, then the top eigenvector of Lambda^dag(G(L)); the
+    one-probe case of the lockstep step of run_alternating. Returns the
+    next probe and the record of step n."""
+    psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
+    psi_next, arrays = _lockstep(psi, ch, _sld_update(ch, h, cfg), cfg)
+    irreducible = _irreducible(ch, [psi_n.amplitudes], h, cfg.eps_deg)[0]
+    return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
+            _record(n, psi_n.amplitudes, arrays, 0, irreducible))
 
 
 def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
@@ -351,7 +346,7 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
 
     def update(w, psi):
         dsigma = dch.apply(psi)
-        if np.max(relative_asymmetry(dsigma)) > 1e-8:
+        if np.max(relative_asymmetry(dsigma)) > EPS_ADJOINT_HERM:
             raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
         res = solve_sld_rhs(w, hermitian_operator(dsigma), cfg.eps_rank)
         m = general_objective(res.L, ch, dch)

@@ -1,9 +1,10 @@
 """Symmetric logarithmic derivative solver and quantum Fisher information.
 
 The defining equation (1/2){L, rho} = -i[H, rho] is the single source of
-truth; the solver works in rho's eigenbasis, or on the support of a
-low-rank rho = W W^dag given by W, and is verified through its residual
-rather than any transcribed closed form.
+truth. One solver works on a decomposition rho = V diag(lam) V^dag: the
+thin SVD of W for a low-rank rho = W W^dag given by W, else rho's
+eigenbasis, where the support-kernel block is empty. It is verified
+through its residual rather than any transcribed closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .operators import (
     check_density_spectrum,
     dagger,
     density_violations,
-    hermitian_commutator,
     hermitian_operator,
     mixture,
     raise_violations,
@@ -57,75 +57,66 @@ class SldResult:
 
 def _spectrum(rho: DensityMatrix | np.ndarray, other: HermitianOperator, name: str):
     """rho checked as a density matrix of the dimension of the operator
-    `other` (named `name` in the error), as (m, None) for an eigensolve of
-    its matrix m, or as (None, (V, lam)) with rho = V diag(lam) V^dag,
-    lam descending, from the thin SVD of W.
+    `other` (named `name` in the error), as (V, lam) with rho = V diag(lam)
+    V^dag, lam descending and V's columns orthonormal.
 
     rho is a DensityMatrix (every invariant is checked), or the (r, d)
     stack of the vectors w_k, the columns of W (a channel output's
     kraus_images). W W^dag is Hermitian by construction, so only its
-    trace, sum |w_k|^2, and its spectrum are checked. The thin SVD
-    W = V diag(s) U^dag is taken when r < d: rho has rank at most r and
-    lam = s^2. Positivity on the eigensolve path is left to the caller."""
+    trace, sum |w_k|^2, and its spectrum are checked. When r < d, V is
+    the thin (d, r) factor of the SVD W = V diag(s) U^dag, as rho has
+    rank at most r, and lam = s^2; otherwise V is square, from the
+    eigensolve of rho's matrix."""
     dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
     if dim != other.dim:
         raise ValidationError(f"dimension mismatch: rho {dim}, {name} {other.dim}")
     if isinstance(rho, DensityMatrix):
         raise_violations(density_violations(rho.matrix), "density matrix")
-        return rho.matrix, None
-    raise_violations(trace_violations((rho * rho.conj()).real.sum(axis=(-2, -1))), "density matrix")
-    if rho.shape[-2] >= rho.shape[-1]:
-        return mixture(rho).matrix, None
-    _, s, vh = np.linalg.svd(rho, full_matrices=False)
-    lam = s * s
-    check_density_spectrum(lam[..., ::-1])
-    return None, (vh.swapaxes(-1, -2), lam)
-
-
-def _in_basis(lam: np.ndarray, r_basis: np.ndarray, cut: np.ndarray):
-    """(denom, solvable, X) of (1/2){X, diag(lam)} = R_basis: X_ij =
-    2 R_ij / (lam_i + lam_j) where that sum is above cut, 0 elsewhere."""
-    denom = lam[..., :, None] + lam[..., None, :]
-    solvable = denom > cut[..., None]
-    x = np.divide(2.0 * r_basis, denom, out=np.zeros(r_basis.shape, complex), where=solvable)
-    return denom, solvable, x
-
-
-def _solve_eigh(m: np.ndarray, rhs: np.ndarray, eps_rank: float) -> SldResult:
-    """The solve in the eigenbasis of the Hermitian matrix m (eigenvector
-    phases do not enter L)."""
+        m = rho.matrix
+    else:
+        raise_violations(trace_violations((rho * rho.conj()).real.sum(axis=(-2, -1))), "density matrix")
+        if rho.shape[-2] < rho.shape[-1]:
+            _, s, vh = np.linalg.svd(rho, full_matrices=False)
+            lam = s * s
+            check_density_spectrum(lam[..., ::-1])
+            return vh.swapaxes(-1, -2), lam
+        m = mixture(rho).matrix
     lam, v = _eigh(_checked_hermitian(m))
     check_density_spectrum(lam)
-    cut = eps_rank * lam[..., -1:]
-    vd = dagger(v)
-    r_eig = vd @ rhs @ v
-    denom, solvable, x_eig = _in_basis(lam, r_eig, cut)
-    rank = _unbatched((lam > cut).sum(axis=-1))
-    return SldResult(hermitian_operator(v @ x_eig @ vd), rank, m.shape[-1] - rank,
-                     lambda: ((np.where(solvable, 0.5 * denom * x_eig - r_eig, 0.0), 1),))
+    # contiguous: each product with a reversed-stride view is slower than one copy
+    return v[..., ::-1].copy(), lam[..., ::-1]
 
 
-def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.ndarray,
+def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.ndarray | None,
                    eps_rank: float) -> SldResult:
     """The solve for rho = V diag(lam) V^dag, given R's blocks r_vv =
     V^dag R V and r_pv = P R V (P = 1 - V V^dag), in O(d^2 r): L = V X V^dag
-    + T V^dag + V T^dag, X the support block and T = 2 P R V diag(lam)^-1
-    on the columns with lam above the cut, the support-kernel block."""
+    + T V^dag + V T^dag, X_ij = 2 R_ij / (lam_i + lam_j) the support block
+    where that sum is above the cut and 0 elsewhere, and T = 2 P R V
+    diag(lam)^-1 on the columns with lam above the cut, the support-kernel
+    block. r_pv is None for a square V, whose kernel block is empty."""
     cut = eps_rank * lam[..., :1]
-    denom, solvable, x = _in_basis(lam, r_vv, cut)
+    denom = lam[..., :, None] + lam[..., None, :]
+    solvable = denom > cut[..., None]
+    x = np.divide(2.0 * r_vv, denom, out=np.zeros(r_vv.shape, complex), where=solvable)
     on = (lam > cut)[..., None, :]
-    t2 = np.divide(4.0 * r_pv, lam[..., None, :], out=np.zeros(r_pv.shape, complex), where=on)
     # with A = V X + 2T, L = (A V^dag + V A^dag) / 2 = hermitian_part(A V^dag)
+    a = v @ x
+    if r_pv is not None:
+        a += np.divide(4.0 * r_pv, lam[..., None, :], out=np.zeros(r_pv.shape, complex), where=on)
     vd = dagger(v)
-    l = hermitian_operator((v @ x + t2) @ vd)
+    l = hermitian_operator(a @ vd)
     rank = _unbatched(on.sum(axis=-1)[..., 0])
 
     def defects():
         lv = l.matrix @ v
         l_vv = vd @ lv
         vv = 0.5 * (l_vv * lam[..., None, :] + lam[..., :, None] * l_vv) - r_vv
+        blocks = ((np.where(solvable, vv, 0.0), 1),)
+        if r_pv is None:
+            return blocks
         pv = 0.5 * (lv - v @ l_vv) * lam[..., None, :] - r_pv
-        return (np.where(solvable, vv, 0.0), 1), (np.where(on, pv, 0.0), 2)
+        return blocks + ((np.where(on, pv, 0.0), 2),)
 
     return SldResult(l, rank, v.shape[-2] - rank, defects)
 
@@ -136,38 +127,38 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
 
     Matrix elements with eigenvalue sums below eps_rank * lambda_max are
     in the numerical null-null block and are set to zero. rho is a
-    DensityMatrix, solved in its eigenbasis, or the (r, d) stack of the
-    vectors w_k of rho = sum_k |w_k><w_k| (see _spectrum), solved from
-    W's thin SVD when r < d. rho and R may carry a leading batch axis: one
-    equation per slice.
+    DensityMatrix or the (r, d) stack of the vectors w_k of rho =
+    sum_k |w_k><w_k|, solved on its decomposition (V, lam) (see
+    _spectrum): from W's thin SVD when r < d, else from an eigensolve,
+    whose support-kernel block is empty. rho and R may carry a leading
+    batch axis: one equation per slice.
     """
-    m, support = _spectrum(rho, r, "rhs")
-    if support is None:
-        return _solve_eigh(m, r.matrix, eps_rank)
-    v, lam = support
+    v, lam = _spectrum(rho, r, "rhs")
     vd = dagger(v)
     rv = r.matrix @ v
     r_vv = vd @ rv
-    r_pv = rv - v @ r_vv
-    # project twice: a part of P R V left along V, divided by a small lam, would enter X
-    r_pv -= v @ (vd @ r_pv)
+    r_pv = None
+    if v.shape[-1] < v.shape[-2]:
+        r_pv = rv - v @ r_vv
+        # project twice: a part of P R V left along V, divided by a small lam, would enter X
+        r_pv -= v @ (vd @ r_pv)
     return _solve_support(v, lam, r_vv, r_pv, eps_rank)
 
 
 def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}, for rho
-    as solve_sld_rhs takes it."""
-    m, support = _spectrum(rho, h, "H")
-    if support is None:
-        return _solve_eigh(m, -1j * hermitian_commutator(h.matrix, m), eps_rank)
-    v, lam = support
-    # R = -i[H, rho]: V^dag R V = -i (H_vv diag(lam) - diag(lam) H_vv), with
-    # H_vv = V^dag H V, and P R V = -i P H V diag(lam), so T = -2i P H V
-    # carries no roundoff divided by a small lam
+    as solve_sld_rhs takes it, with R = -i[H, rho] in its blocks on
+    (V, lam): no commutator is formed."""
+    v, lam = _spectrum(rho, h, "H")
+    # V^dag R V = -i (H_vv diag(lam) - diag(lam) H_vv), with H_vv = V^dag H V,
+    # and P R V = -i P H V diag(lam), so T = -2i P H V carries no roundoff
+    # divided by a small lam
     hv = h.matrix @ v
     h_vv = dagger(v) @ hv
     r_vv = -1j * (h_vv * lam[..., None, :] - lam[..., :, None] * h_vv)
-    r_pv = -1j * (hv - v @ h_vv) * lam[..., None, :]
+    r_pv = None
+    if v.shape[-1] < v.shape[-2]:
+        r_pv = -1j * (hv - v @ h_vv) * lam[..., None, :]
     return _solve_support(v, lam, r_vv, r_pv, eps_rank)
 
 

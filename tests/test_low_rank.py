@@ -315,6 +315,25 @@ class TestMetamorphic:
                     assert (res.restart_iterations, res.warnings) == \
                         (base.restart_iterations, base.warnings)
 
+    @pytest.mark.parametrize("route", ["qfi", "general", "cfi"])
+    def test_generator_shift_at_a_fixed_budget(self, route, sweep_instances):
+        # the same shift with the stopping rule out of play: a restart runs 50
+        # steps or stops where f repeats exactly, so the margin left is the
+        # arithmetic's, worst seen 9.6e-14 at c = 1e3 and 6.6e-11 at c = 1e6
+        cfg = OptimizerConfig(restarts=2, seed=5, tol=1e-300, max_iters=50)
+        for ch, h, povm in sweep_instances:
+            def solve(g):
+                if route == "qfi":
+                    return optimize(ch, g, cfg)
+                if route == "general":
+                    return optimize_general(ch, commuting_derivative(ch, g), cfg)
+                return optimize_fixed_measurement(ch, g, povm, cfg)
+
+            base = solve(h)
+            for c, rel in ((1e3, 1e-12), (1e6, 2e-10)):
+                res = solve(HermitianOperator(h.matrix + c * np.eye(h.dim)))
+                np.testing.assert_allclose(res.restart_values, base.restart_values, rtol=rel, atol=0)
+
 
 @pytest.fixture(scope="module")
 def sweep_instances():

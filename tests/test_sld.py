@@ -310,7 +310,9 @@ class TestImagesPath:
         rho = mixture(w)
         rhs = hermitian_operator(-1j * commutator(h.matrix, rho.matrix))
         dense = sld(rho, h, eps_rank)
-        for res in (sld(w, h, eps_rank), solve_sld_rhs(w, rhs, eps_rank)):
+        # the images (thin V) and the DensityMatrix (square V)
+        for res in (sld(w, h, eps_rank), solve_sld_rhs(w, rhs, eps_rank),
+                    dense, solve_sld_rhs(rho, rhs, eps_rank)):
             assert res.rank == dense.rank == rank
             assert res.support_dim_deficit == dense.support_dim_deficit == d - rank
             # near the cut L is ill-conditioned, but it must still solve the equation:
