@@ -249,6 +249,13 @@ class DerivativeChannel:
         return _sandwich(a, rho, b)
 
 
+def _derivative_channel(stack: np.ndarray) -> DerivativeChannel:
+    """The DerivativeChannel of a (2, p, dim_out, dim_in) pair stack the
+    library has just made, held read-only without a copy or a check."""
+    stack.setflags(write=False)  # first: the views in terms inherit the flag
+    return _wrap(DerivativeChannel, terms=tuple(zip(stack[0], stack[1])), stack=stack)
+
+
 @dataclass(frozen=True)
 class Povm:
     """Finite list of positive operators summing to identity.
@@ -546,12 +553,12 @@ def commuting_derivative(ch: QuantumChannel, h: HermitianOperator) -> Derivative
     """Exact derivative at phi=0 of the family e^{-i phi H} ch(.) e^{i phi H}."""
     if ch.dim_out != h.dim:
         raise DimensionMismatch("generator dimension must match channel output dimension")
-    terms = []
-    for k in ch.kraus:
-        hk = -1j * (h.matrix @ k)
-        terms.append((hk, k))
-        terms.append((k, hk))
-    return DerivativeChannel(tuple(terms))
+    hk = -1j * (h.matrix @ ch.stack)
+    # pairs (-iHK_k, K_k), (K_k, -iHK_k) in that order, built in place
+    stack = np.empty((2, 2 * len(hk)) + hk.shape[1:], dtype=complex)
+    stack[0, 0::2] = stack[1, 1::2] = hk
+    stack[0, 1::2] = stack[1, 0::2] = ch.stack
+    return _derivative_channel(stack)
 
 
 # ---------------------------------------------------------------------------

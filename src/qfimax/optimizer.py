@@ -21,6 +21,8 @@ from .operators import (
     PureState,
     QuantumChannel,
     _checked_hermitian,
+    _derivative_channel,
+    _images,
     _kraus_gram,
     _unbatched,
     _wrap,
@@ -136,9 +138,12 @@ def general_objective(
     x: HermitianOperator, ch: QuantumChannel, dch: DerivativeChannel
 ) -> HermitianOperator:
     """-Lambda^dag(X^2) + 2 Lambda'^dag(X) for a general channel family (of
-    each X of a stack). Lambda^dag(X^2) = sum_k (X K_k)^dag (X K_k) is one
-    Gram product, exactly Hermitian, as the Hermitized derivative adjoint
-    is, so their difference is too."""
+    each X of a stack), in sandwich form for any pair list.
+    Lambda^dag(X^2) = sum_k (X K_k)^dag (X K_k) is one Gram product,
+    exactly Hermitian, as the Hermitized derivative adjoint is, so their
+    difference is too. optimize_general forms this operator so only for a
+    pair list with no mirrored pair on the Kraus operators; otherwise it
+    takes those pairs as a completed square (_general_update)."""
     if ch.dim_out != x.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {x.dim}")
     out = 2.0 * derivative_adjoint_apply(dch, x).matrix
@@ -337,19 +342,108 @@ def optimize(ch: QuantumChannel, h: HermitianOperator,
     return run_alternating(ch, cfg, _sld_update(ch, h, cfg), h)
 
 
+def _kraus_aligned(ch: QuantumChannel, dch: DerivativeChannel):
+    """dch's pairs split as Lambda' = sum_k (F_k . K_k^dag + K_k . F_k^dag)
+    + the residual map, for the Kraus operators K_k of ch.
+
+    A pair (A, K_k) whose mirror (K_k, A) is also listed, with K_k bitwise
+    equal to a Kraus operator, adds A to F_k; each pair is matched at most
+    once. Every other pair, one that is its own mirror included, stays in
+    the residual map, in list order. Matrices are compared by their bytes,
+    so exactly, with one dict lookup each. F_k is then shifted to F_k +
+    i mu K_k, mu = Im sum_k Tr(F_k^dag K_k) / dim_in, which leaves Lambda'
+    unchanged and makes sum_k |F_k|^2 least: for the pairs of
+    commuting_derivative(ch, H + c 1) it removes c. Returns (F, residual):
+    F the (r, dim_out, dim_in) stack, or None when no pair is mirrored;
+    residual dch itself when no pair is mirrored, None when every pair is,
+    else a DerivativeChannel of the residual pairs."""
+    ids = {}
+
+    def label(a):
+        return ids.setdefault(a.tobytes(), len(ids))
+
+    kraus = {}
+    for k, a in enumerate(ch.stack):
+        kraus.setdefault(label(a), k)
+    f = np.zeros(ch.stack.shape, dtype=complex)
+    unmatched = {}  # (label of A, label of B) -> unmatched pairs (A, B) with a Kraus side
+    matched = set()
+    for p, (a, b) in enumerate(zip(*dch.stack)):
+        x, y = label(a), label(b)
+        if x == y or (x not in kraus and y not in kraus):
+            continue
+        waiting = unmatched.get((y, x))
+        if not waiting:
+            unmatched.setdefault((x, y), []).append(p)
+            continue
+        matched.update((waiting.pop(0), p))
+        if x in kraus:
+            f[kraus[x]] += b
+        else:
+            f[kraus[y]] += a
+    if not matched:
+        return None, dch
+    f += (1j * np.vdot(f, ch.stack).imag / ch.dim_in) * ch.stack
+    keep = [p for p in range(len(dch.terms)) if p not in matched]
+    if not keep:
+        return f, None
+    return f, _derivative_channel(dch.stack[:, keep])
+
+
+def _general_update(ch: QuantumChannel, dch: DerivativeChannel, cfg: OptimizerConfig):
+    """General-family update: the solution L of (1/2){L, rho} =
+    Lambda'(|psi><psi|) and M = -Lambda^dag(L^2) + 2 Lambda'^dag(L).
+
+    With Lambda' split once per solve as sum_k (F_k . K_k^dag + K_k .
+    F_k^dag) + the residual map (_kraus_aligned), M is the completed
+    square 4 sum_k F_k^dag F_k - sum_k (L K_k - 2 F_k)^dag (L K_k - 2 F_k)
+    + 2 Lambda_res'^dag(L): the first term made once per solve, the second
+    one Gram product per step, and both exactly Hermitian; the right-hand
+    side's aligned part is sum_k z_k w_k^dag + h.c. from the images z_k =
+    F_k psi. Only the residual pairs pay the Hermiticity checks of the
+    derivative's output and adjoint. With no mirrored pair, M is
+    general_objective's sandwich form."""
+    f, residual = _kraus_aligned(ch, dch)
+    if f is not None:
+        square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
+        two_f = 2.0 * f
+
+    def update(w, psi):
+        if residual is not None:
+            dsigma = residual.apply(psi)
+            if np.max(relative_asymmetry(dsigma)) > EPS_ADJOINT_HERM:
+                raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
+        if f is None:
+            res = solve_sld_rhs(w, hermitian_operator(dsigma), cfg.eps_rank)
+            m = general_objective(res.L, ch, dch)
+        else:
+            # 2 sum_k z_k w_k^dag, whose Hermitian part is the aligned right-hand side
+            rhs = 2.0 * (_images(f, psi.amplitudes).swapaxes(-1, -2) @ w.conj())
+            if residual is not None:
+                rhs += dsigma
+            res = solve_sld_rhs(w, hermitian_operator(rhs), cfg.eps_rank)
+            y = np.matmul(res.L.matrix[..., None, :, :], ch.stack)
+            y -= two_f
+            m = square - _kraus_gram(y)
+            if residual is not None:
+                m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
+            m = _checked_hermitian(m)
+        return real_expectation(psi, m), m, res.support_dim_deficit
+
+    return update
+
+
 def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
                      cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Maximum Fisher information for a general parametrized channel family,
-    supplied as the channel at the working point plus its derivative map."""
+    supplied as the channel at the working point plus its derivative map.
+    Each step maximises Tr rho(-X^2 + 2 Lambda'(.) X) over X (the solution
+    L of (1/2){L, rho} = Lambda'(|psi><psi|)), then over the probe (the top
+    eigenvector of M = -Lambda^dag(L^2) + 2 Lambda'^dag(L)). The
+    derivative's mirrored pairs (A, K_k), (K_k, A) on the Kraus operators
+    of ch, such as all of commuting_derivative's, enter M as a completed
+    square, the form of the Fujiwara-Imai bound; the other pairs as
+    sandwiches (_general_update)."""
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
-
-    def update(w, psi):
-        dsigma = dch.apply(psi)
-        if np.max(relative_asymmetry(dsigma)) > EPS_ADJOINT_HERM:
-            raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-        res = solve_sld_rhs(w, hermitian_operator(dsigma), cfg.eps_rank)
-        m = general_objective(res.L, ch, dch)
-        return real_expectation(psi, m), m, res.support_dim_deficit
-
-    return run_alternating(ch, cfg, update)
+    return run_alternating(ch, cfg, _general_update(ch, dch, cfg))

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,11 @@ from qfimax import (
     variational_value,
 )
 from qfimax import operators
-from qfimax.operators import dagger, hermitian_operator
-from qfimax.optimizer import run_alternating
-from qfimax.problem import parse_problem
+from qfimax.cli import main
+from qfimax.operators import dagger, hermitian_operator, kraus_images
+from qfimax.optimizer import _general_update, _kraus_aligned, run_alternating
+from qfimax.problem import emit_problem, parse_problem
+from qfimax.sld import solve_sld_rhs
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -356,3 +359,82 @@ class TestOptimizeGeneral:
         result = optimize_general(base, fd, FAST)
         oracle, _ = brute_force_max_qfi(base, H_Z, n_samples=1, seed=0)
         assert result.f_star == pytest.approx(oracle, abs=1e-5)
+
+
+class TestKrausAlignedDerivative:
+    """optimize_general takes the mirrored pairs (A, K_k), (K_k, A) on the
+    Kraus operators as F_k of a completed square, and the rest as
+    sandwiches."""
+
+    def test_commuting_derivative_pairs_bit_equal_to_a_loop(self):
+        rng = np.random.default_rng(21)
+        ch, h = random_channel(5, rng, n_kraus=3), random_hermitian(5, rng)
+        dch = commuting_derivative(ch, h)
+        expected = []
+        for k in ch.kraus:
+            hk = -1j * (h.matrix @ k)
+            expected += [(hk, k), (k, hk)]
+        assert len(dch.terms) == len(expected)
+        for (a, b), (x, y) in zip(dch.terms, expected):
+            assert np.array_equal(a, x) and np.array_equal(b, y)
+        assert not any(m.flags.writeable for pair in dch.terms for m in pair)
+        assert not dch.stack.flags.writeable
+
+    def test_split_and_gauge(self):
+        # commuting pairs leave no residual, and the gauge removes a shift of H
+        rng = np.random.default_rng(22)
+        ch, h = random_channel(4, rng, n_kraus=2), random_hermitian(4, rng)
+        f, residual = _kraus_aligned(ch, commuting_derivative(ch, h))
+        mu = np.trace(channel_adjoint_apply(ch, h).matrix).real / 4
+        assert residual is None
+        np.testing.assert_allclose(f, -1j * ((h.matrix - mu * np.eye(4)) @ ch.stack), atol=1e-14)
+        shifted, _ = _kraus_aligned(ch, commuting_derivative(ch, HermitianOperator(h.matrix + 3.0 * np.eye(4))))
+        np.testing.assert_allclose(shifted, f, atol=1e-14)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        dch = DerivativeChannel(commuting_derivative(ch, h).terms + ((ch.kraus[0], ch.kraus[0]), (x, ch.kraus[1])))
+        # a pair that is its own mirror and one without a mirror stay sandwiches
+        assert np.array_equal(_kraus_aligned(ch, dch)[1].stack, dch.stack[:, -2:])
+
+    def test_no_mirrored_pair_keeps_the_pair_list(self):
+        base = dephasing_channel(0.8)
+        fd = finite_difference_derivative(
+            lambda phi: compose_channels(base, unitary_channel(H_Z.matrix, phi)))
+        assert _kraus_aligned(base, fd) == (None, fd)
+
+    def test_explicit_terms_match_commuting_flag(self, tmp_path, capsys):
+        source = PROBLEMS / "general_commuting_dephasing.json"
+        emitted = tmp_path / "terms.json"
+        emitted.write_text(emit_problem(parse_problem(source.read_bytes())))
+        assert "terms" in json.loads(emitted.read_text())["derivative_channel"]
+        reports = []
+        for path in (source, emitted):
+            assert main(["qfi-max-general", "--problem", str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["timestamp"], report["config_echo"]["problem_sha256"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_lone_kraus_aligned_pair_rejected(self):
+        # (A, K_0) without its mirror stays a sandwich and fails the output check
+        rng = np.random.default_rng(23)
+        ch = random_channel(3, rng, n_kraus=2)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        with pytest.raises(NumericError, match="not Hermitian"):
+            optimize_general(ch, DerivativeChannel(((a, ch.kraus[0]),)), FAST)
+
+    @pytest.mark.parametrize("d, r", [(4, 4), (6, 2)])
+    def test_split_objective_matches_sandwich_form(self, d, r):
+        # commuting pairs plus one residual (cX, X): the completed square and
+        # the residual sandwich give general_objective's M at a fixed probe
+        rng = np.random.default_rng(24 + d)
+        ch, h = random_channel(d, rng, n_kraus=r), random_hermitian(d, rng)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        dch = DerivativeChannel(commuting_derivative(ch, h).terms + ((0.3 * x, x),))
+        assert len(_kraus_aligned(ch, dch)[1].terms) == 1
+        psi = PureState(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        psi = PureState(psi.amplitudes / np.linalg.norm(psi.amplitudes))
+        w = kraus_images(ch, psi)
+        f, m, _ = _general_update(ch, dch, FAST)(w, psi)
+        ref = general_objective(solve_sld_rhs(w, hermitian_operator(dch.apply(psi))).L, ch, dch).matrix
+        np.testing.assert_allclose(m.matrix, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        assert f == pytest.approx(np.vdot(psi.amplitudes, ref @ psi.amplitudes).real, rel=1e-12)
