@@ -45,12 +45,10 @@ from .optimizer import (
     optimize,
     optimize_general,
     step,
-    variational_value,
 )
 from .cfi import (
     EstimatorCoefficients,
     OutcomeStatistics,
-    cfi_objective,
     classical_fi,
     optimal_d,
     optimize_fixed_measurement,

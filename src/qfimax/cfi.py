@@ -14,7 +14,6 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     Povm,
-    PureState,
     QuantumChannel,
     _unbatched,
     _wrap,
@@ -23,7 +22,7 @@ from .operators import (
     hermitian_operator,
     mixture,
 )
-from .optimizer import OptimizationResult, OptimizerConfig, real_expectation, run_alternating
+from .optimizer import OptimizationResult, OptimizerConfig, run_alternating
 
 EPS_PROB = 1e-12  # outcomes with p <= EPS_PROB are off the numerical support
 
@@ -140,12 +139,6 @@ def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) ->
     x2 = x_moment(d, povm, 2)
     op = -x2.matrix + 2j * hermitian_commutator(h.matrix, x1.matrix)
     return hermitian_operator(op)
-
-
-def cfi_objective(psi: PureState, d: EstimatorCoefficients, ch: QuantumChannel,
-                  h: HermitianOperator, povm: Povm) -> float:
-    """<psi| Lambda^dag(-X_2 + 2i[H, X_1]) |psi>."""
-    return real_expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
 
 
 def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: Povm,

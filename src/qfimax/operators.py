@@ -301,12 +301,9 @@ class EigenDecomposition:
 class FactoredOperator:
     """The Hermitian operator sum_k C_k^dag g C_k on C^n, held as the
     (r, m, n) stack `factors` of the C_k and the m x m Hermitian `core` g,
-    without forming it. The covariant step holds Lambda^dag(G) this way
-    (C = the Kraus stack, g = G) only when r*m < n, for max_eigvec's
-    small side, and otherwise forms it as a Gram product; a compressed
-    one has C_k = Q^dag K_k, g = Q^dag G Q for G supported on the range
-    of an isometry Q. Either may carry a leading batch axis, one operator
-    per probe of a stack."""
+    without forming it: the compressed step's M (optimizer._update), with
+    C_k = [Q^dag K_k; Q^dag F_k] for an isometry Q. Either may carry a
+    leading batch axis, one operator per probe of a stack."""
 
     factors: np.ndarray
     core: HermitianOperator

@@ -1,7 +1,9 @@
 """Alternating maximization of the Fisher-information objective
-F(rho, X) = Tr{rho (-X^2 + 2i[H, X])} over Hermitian X (via the SLD) and
-over channel outputs (via a maximum eigenvector), plus the general-channel
-variant -Lambda^dag(X^2) + 2 Lambda'^dag(X).
+F(rho, X) = Tr{rho (-X^2 + 2 Lambda'(.) X)} over Hermitian X (via the SLD)
+and over channel outputs (via a maximum eigenvector), for the covariant
+family, Lambda'(rho) = -i[H, Lambda(rho)], and for a general one given its
+derivative map. Both routes run one update (_update) on the derivative's
+Kraus-aligned part F_k: -iHt K_k for the covariant family.
 """
 
 from __future__ import annotations
@@ -26,22 +28,22 @@ from .operators import (
     _kraus_gram,
     _unbatched,
     _wrap,
-    channel_adjoint_apply,
     dagger,
     derivative_adjoint_apply,
     haar_state,
     hermitian_commutator,
     hermitian_operator,
+    hermitian_part,
     kraus_images,
     max_eigvec,
     relative_asymmetry,
 )
-from .sld import is_irreducible, qfi_from_sld, sld, solve_sld_rhs
+from .sld import _solve, is_irreducible, qfi_from_sld
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
-COMPRESS_MIN_DIM = 24  # smallest output dimension at which a covariant step is compressed
+COMPRESS_MIN_DIM = 24  # smallest output dimension at which a step is compressed (_update)
 FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibility test
 
 
@@ -127,13 +129,6 @@ def real_expectation(psi: PureState, op: HermitianOperator) -> float:
     return _unbatched(val.real)
 
 
-def variational_value(
-    psi: PureState, x: HermitianOperator, ch: QuantumChannel, h: HermitianOperator
-) -> float:
-    """F(Lambda(|psi><psi|), X) = <psi| Lambda^dag(G(X)) |psi>."""
-    return real_expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
-
-
 def general_objective(
     x: HermitianOperator, ch: QuantumChannel, dch: DerivativeChannel
 ) -> HermitianOperator:
@@ -143,7 +138,7 @@ def general_objective(
     exactly Hermitian, as the Hermitized derivative adjoint is, so their
     difference is too. optimize_general forms this operator so only for a
     pair list with no mirrored pair on the Kraus operators; otherwise it
-    takes those pairs as a completed square (_general_update)."""
+    takes those pairs as a completed square (_update)."""
     if ch.dim_out != x.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {x.dim}")
     out = 2.0 * derivative_adjoint_apply(dch, x).matrix
@@ -192,68 +187,15 @@ def _record(n: int, amplitudes: np.ndarray, arrays: tuple, j: int, irreducible) 
                            irreducible=None if irreducible is None else bool(irreducible))
 
 
-def _sld_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
-    """Covariant update: the SLD L of the output rho and M = Lambda^dag(G(L)).
-
-    rho = W W^dag has rank at most r, so L lives in span{W, HW} and
-    G(L) = -L^2 + 2i[H, L] in span{W, HW, H^2 W}. With Q an orthonormal
-    basis of that span (m = 3r columns, from one QR), the SLD and G are
-    taken on the compressed output Q^dag rho Q with generator Q^dag H Q,
-    and M = sum_k C_k^dag g C_k with C_k = Q^dag K_k and g = Q^dag G Q,
-    whose top eigenvector max_eigvec takes from its (r*m)-sized small
-    side when r*m < dim_in; each probe of a stack has its own Q. Q = 1,
-    the SLD of the full output and M = Lambda^dag(G(L)), unless m <=
-    dim_out / 2 and dim_out >= COMPRESS_MIN_DIM: below that the QR and
-    the extra products cost more than the smaller eigensolves save. The
-    SLD is solved from the images (sld), so from W's thin SVD whenever r
-    is below the (compressed) output dimension.
-
-    Uncompressed, M is formed only when r*dim_out >= dim_in (else it is
-    left factored for max_eigvec's small side), from the completed square
-    G(L) = 4 Ht^2 - B^dag B with B = L + 2i Ht, for any shift Ht = H - mu 1:
-    M = 4 Lambda^dag(Ht^2) - sum_k (B K_k)^dag (B K_k), the first term
-    made once per solve, the second one Gram product per step, and both
-    exactly Hermitian. mu, the middle of H's spectrum, keeps the two terms
-    no larger than G needs: for H + c 1 unshifted, both grow as c^2 and
-    their difference loses digits.
-    """
-    r, d_out, d_in = ch.stack.shape
-    compress = d_out >= COMPRESS_MIN_DIM and 6 * r <= d_out
-    formed = not compress and r * d_out >= d_in
-    if formed:
-        lam = h.eig.eigenvalues
-        ht = h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(d_out)
-        square = 4.0 * _kraus_gram(np.matmul(ht, ch.stack))  # 4 Lambda^dag(Ht^2)
-        two_i_ht = 2j * ht
-
-    def update(w, psi):
-        hq, factors = h, ch.stack
-        if compress:
-            x = w.swapaxes(-1, -2)
-            hx = h.matrix @ x
-            q = np.linalg.qr(np.concatenate((x, hx, h.matrix @ hx), axis=-1))[0]
-            qd = dagger(q)
-            w, hq = w @ q.conj(), hermitian_operator(qd @ h.matrix @ q)
-            factors = np.matmul(qd[..., None, :, :], ch.stack)
-        res = sld(w, hq, cfg.eps_rank)
-        if formed:
-            b = np.matmul((res.L.matrix + two_i_ht)[..., None, :, :], ch.stack)
-            m = _checked_hermitian(square - _kraus_gram(b))
-        else:
-            m = FactoredOperator(factors, objective_g(res.L, hq))
-        return qfi_from_sld(w, res), m, d_out - res.rank
-
-    return update
-
-
 def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
          cfg: OptimizerConfig, n: int = 0):
     """One covariant alternating step from the probe psi_n: SLD of the
-    current output, then the top eigenvector of Lambda^dag(G(L)); the
-    one-probe case of the lockstep step of run_alternating. Returns the
-    next probe and the record of step n."""
+    current output, then the top eigenvector of Lambda^dag(G(L)), as
+    optimize's update (_covariant_update) makes them; the one-probe case
+    of the lockstep step of run_alternating. Returns the next probe and
+    the record of step n."""
     psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
-    psi_next, arrays = _lockstep(psi, ch, _sld_update(ch, h, cfg), cfg)
+    psi_next, arrays = _lockstep(psi, ch, _covariant_update(ch, h, cfg), cfg)
     irreducible = _irreducible(ch, [psi_n.amplitudes], h, cfg.eps_deg)[0]
     return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
             _record(n, psi_n.amplitudes, arrays, 0, irreducible))
@@ -336,10 +278,11 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
 
 def optimize(ch: QuantumChannel, h: HermitianOperator,
              cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
-    """Maximum quantum Fisher information over input probe states."""
+    """Maximum quantum Fisher information over input probe states, from
+    the update of the covariant family (_covariant_update)."""
     if ch.dim_out != h.dim:
         raise ValidationError("generator dimension must match channel output dimension")
-    return run_alternating(ch, cfg, _sld_update(ch, h, cfg), h)
+    return run_alternating(ch, cfg, _covariant_update(ch, h, cfg), h)
 
 
 def _kraus_aligned(ch: QuantumChannel, dch: DerivativeChannel):
@@ -390,47 +333,98 @@ def _kraus_aligned(ch: QuantumChannel, dch: DerivativeChannel):
     return f, _derivative_channel(dch.stack[:, keep])
 
 
-def _general_update(ch: QuantumChannel, dch: DerivativeChannel, cfg: OptimizerConfig):
-    """General-family update: the solution L of (1/2){L, rho} =
-    Lambda'(|psi><psi|) and M = -Lambda^dag(L^2) + 2 Lambda'^dag(L).
+def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = None,
+            e: np.ndarray | None = None, residual: DerivativeChannel | None = None):
+    """The update of every channel route: the solution L of (1/2){L, rho}
+    = Lambda'(|psi><psi|) and M = -Lambda^dag(L^2) + 2 Lambda'^dag(L), for
+    Lambda' = sum_k (F_k . K_k^dag + K_k . F_k^dag) + the residual map and
+    the aligned part stored as F_k = A K_k + E_k (a, e None for 0).
 
-    With Lambda' split once per solve as sum_k (F_k . K_k^dag + K_k .
-    F_k^dag) + the residual map (_kraus_aligned), M is the completed
-    square 4 sum_k F_k^dag F_k - sum_k (L K_k - 2 F_k)^dag (L K_k - 2 F_k)
-    + 2 Lambda_res'^dag(L): the first term made once per solve, the second
-    one Gram product per step, and both exactly Hermitian; the right-hand
-    side's aligned part is sum_k z_k w_k^dag + h.c. from the images z_k =
-    F_k psi. Only the residual pairs pay the Hermiticity checks of the
-    derivative's output and adjoint. With no mirrored pair, M is
-    general_objective's sandwich form."""
-    f, residual = _kraus_aligned(ch, dch)
-    if f is not None:
-        square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
-        two_f = 2.0 * f
+    The right-hand side is A rho + rho A^dag, taken in its blocks on the
+    output's decomposition (sld._solve), plus the formed R = sum_k z_k
+    w_k^dag + h.c. of the images z_k = E_k psi and the residual map's
+    output, whose Hermiticity is checked. M is the completed square
+    4 sum_k F_k^dag F_k - sum_k Y_k^dag Y_k, Y_k = (L - 2A) K_k - 2 E_k,
+    plus 2 Lambda_res'^dag(L): the first term once per solve, the second
+    one Gram product per step, both exactly Hermitian.
+
+    With no residual pair, rho and the right-hand side live in Q =
+    orth[W, AW + Z] (m = 2r columns, one QR per probe). Once dim_out >=
+    COMPRESS_MIN_DIM and the 2m rows of each factor C_k = [Q^dag K_k;
+    Q^dag F_k] are at most dim_out / 2, the solve runs on Q^dag W with
+    Q^dag A Q and Q^dag R Q, and M = sum_k C_k^dag g C_k is left factored,
+    g = [[-l^2, 2l], [2l, 0]] with l = Q^dag L Q.
+
+    f is Tr(rho L^2) and the rank deficit dim_out - rank. With no aligned
+    part M is general_objective's sandwich form and f <psi|M|psi>."""
+    r, d_out, d_in = ch.stack.shape
+    aligned = a is not None or e is not None
+    compress = aligned and residual is None and d_out >= COMPRESS_MIN_DIM and 8 * r <= d_out
+    square, two_a, two_e = 0.0, None, None
+    if aligned:
+        f = e if a is None else np.matmul(a, ch.stack) if e is None else np.matmul(a, ch.stack) + e
+        if compress:
+            kf = np.stack((ch.stack, f), axis=1)  # all C_k = Q^dag [K_k; F_k] in one product
+        else:
+            square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
+            two_a = None if a is None else 2.0 * a
+            two_e = None if e is None else 2.0 * e
 
     def update(w, psi):
+        rhs = None
         if residual is not None:
-            dsigma = residual.apply(psi)
-            if np.max(relative_asymmetry(dsigma)) > EPS_ADJOINT_HERM:
+            rhs = residual.apply(psi)
+            if np.max(relative_asymmetry(rhs)) > EPS_ADJOINT_HERM:
                 raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
-        if f is None:
-            res = solve_sld_rhs(w, hermitian_operator(dsigma), cfg.eps_rank)
-            m = general_objective(res.L, ch, dch)
-        else:
-            # 2 sum_k z_k w_k^dag, whose Hermitian part is the aligned right-hand side
-            rhs = 2.0 * (_images(f, psi.amplitudes).swapaxes(-1, -2) @ w.conj())
-            if residual is not None:
-                rhs += dsigma
-            res = solve_sld_rhs(w, hermitian_operator(rhs), cfg.eps_rank)
-            y = np.matmul(res.L.matrix[..., None, :, :], ch.stack)
-            y -= two_f
-            m = square - _kraus_gram(y)
-            if residual is not None:
-                m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
-            m = _checked_hermitian(m)
-        return real_expectation(psi, m), m, res.support_dim_deficit
+        z = None if e is None else _images(e, psi.amplitudes)
+        if compress:
+            fw = z if a is None else w @ a.T if z is None else w @ a.T + z  # rows F_k psi
+            q = np.linalg.qr(np.concatenate((w, fw), axis=-2).swapaxes(-1, -2))[0]
+            qc = q.conj()
+            qd = qc.swapaxes(-1, -2)
+            w = w @ qc
+            if z is not None:
+                z = z @ qc
+        if z is not None:
+            # 2 sum_k z_k w_k^dag, whose Hermitian part is R's aligned part
+            aligned_rhs = 2.0 * (z.swapaxes(-1, -2) @ w.conj())
+            rhs = aligned_rhs if rhs is None else aligned_rhs + rhs
+        rhs = None if rhs is None else hermitian_part(rhs)
+        if compress:
+            res = _solve(w, None if a is None else qd @ (a @ q), rhs, cfg.eps_rank, "H")
+            l = res.L.matrix
+            k = l.shape[-1]
+            g = np.zeros(l.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+            g[..., :k, :k] = -(l @ l)
+            g[..., :k, k:] = g[..., k:, :k] = 2.0 * l
+            c = np.matmul(qd[..., None, None, :, :], kf).reshape(l.shape[:-2] + (r, 2 * k, d_in))
+            return qfi_from_sld(w, res), FactoredOperator(c, hermitian_operator(g)), d_out - res.rank
+        res = _solve(w, a, rhs, cfg.eps_rank, "H")
+        y = np.matmul((res.L.matrix if a is None else res.L.matrix - two_a)[..., None, :, :], ch.stack)
+        if e is not None:
+            y -= two_e
+        m = square - _kraus_gram(y)
+        if residual is not None:
+            m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
+        m = _checked_hermitian(m)
+        return (qfi_from_sld(w, res) if aligned else real_expectation(psi, m)), m, d_out - res.rank
 
     return update
+
+
+def _covariant_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerConfig):
+    """_update with A = -iHt, Ht = H - mu 1 and mu the middle of H's
+    spectrum: the derivative -i[H, .] of the covariant family as F_k =
+    -iHt K_k. The centring keeps the two terms of the completed square no
+    larger than M needs: for H + c 1 unshifted both grow as c^2 and their
+    difference loses digits."""
+    lam = h.eig.eigenvalues
+    return _update(ch, cfg, a=-1j * (h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(h.dim)))
+
+
+def _general_update(ch: QuantumChannel, dch: DerivativeChannel, cfg: OptimizerConfig):
+    """_update with the E_k and residual pairs of _kraus_aligned(ch, dch)."""
+    return _update(ch, cfg, None, *_kraus_aligned(ch, dch))
 
 
 def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
@@ -442,8 +436,8 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     eigenvector of M = -Lambda^dag(L^2) + 2 Lambda'^dag(L)). The
     derivative's mirrored pairs (A, K_k), (K_k, A) on the Kraus operators
     of ch, such as all of commuting_derivative's, enter M as a completed
-    square, the form of the Fujiwara-Imai bound; the other pairs as
-    sandwiches (_general_update)."""
+    square, the form of the Fujiwara-Imai bound, through the update that
+    optimize runs; the other pairs as sandwiches (_update)."""
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
     return run_alternating(ch, cfg, _general_update(ch, dch, cfg))

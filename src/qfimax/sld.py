@@ -1,10 +1,11 @@
 """Symmetric logarithmic derivative solver and quantum Fisher information.
 
-The defining equation (1/2){L, rho} = -i[H, rho] is the single source of
-truth. One solver works on a decomposition rho = V diag(lam) V^dag: the
-thin SVD of W for a low-rank rho = W W^dag given by W, else rho's
-eigenbasis, where the support-kernel block is empty. It is verified
-through its residual rather than any transcribed closed form.
+The defining equation (1/2){L, rho} = A rho + rho A^dag + R (A = -iH for
+the SLD of the covariant family) is the single source of truth. One solve
+(_solve) works on a decomposition rho = V diag(lam) V^dag: the thin SVD of
+W for a low-rank rho = W W^dag given by W, else rho's eigenbasis, where the
+support-kernel block is empty. It is verified through its residual rather
+than any transcribed closed form.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ class SldResult:
         return float(np.sqrt(sum(n * np.linalg.norm(d) ** 2 for d, n in self.defects())))
 
 
-def _spectrum(rho: DensityMatrix | np.ndarray, other: HermitianOperator, name: str):
-    """rho checked as a density matrix of the dimension of the operator
-    `other` (named `name` in the error), as (V, lam) with rho = V diag(lam)
+def _spectrum(rho: DensityMatrix | np.ndarray, dim: int, name: str):
+    """rho checked as a density matrix of dimension dim, that of the
+    operator named `name` in the error, as (V, lam) with rho = V diag(lam)
     V^dag, lam descending and V's columns orthonormal.
 
     rho is a DensityMatrix (every invariant is checked), or the (r, d)
@@ -67,9 +68,9 @@ def _spectrum(rho: DensityMatrix | np.ndarray, other: HermitianOperator, name: s
     the thin (d, r) factor of the SVD W = V diag(s) U^dag, as rho has
     rank at most r, and lam = s^2; otherwise V is square, from the
     eigensolve of rho's matrix."""
-    dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
-    if dim != other.dim:
-        raise ValidationError(f"dimension mismatch: rho {dim}, {name} {other.dim}")
+    rho_dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
+    if rho_dim != dim:
+        raise ValidationError(f"dimension mismatch: rho {rho_dim}, {name} {dim}")
     if isinstance(rho, DensityMatrix):
         raise_violations(density_violations(rho.matrix), "density matrix")
         m = rho.matrix
@@ -121,6 +122,39 @@ def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.nd
     return SldResult(l, rank, v.shape[-2] - rank, defects)
 
 
+def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray | None,
+           eps_rank: float, name: str) -> SldResult:
+    """Solve (1/2){X, rho} = A rho + rho A^dag + R for Hermitian X, on
+    rho's decomposition (V, lam) (see _spectrum): A is any square matrix
+    and R a Hermitian one, either None for 0, each with rho's leading batch
+    axis or none. The A part enters in its blocks on (V, lam):
+    V^dag (A rho + rho A^dag) V = A_vv lam + (A_vv lam)^dag with A_vv =
+    V^dag A V, and P (A rho + rho A^dag) V = P A V lam, so it is never
+    formed and T carries no roundoff divided by a small lam. name names
+    the operator in a dimension mismatch."""
+    v, lam = _spectrum(rho, (r if a is None else a).shape[-1], name)
+    vd = dagger(v)
+    thin = v.shape[-1] < v.shape[-2]
+    r_vv = r_pv = None
+    if r is not None:
+        rv = r @ v
+        r_vv = vd @ rv
+        if thin:
+            r_pv = rv - v @ r_vv
+            # project twice: a part of P R V left along V, divided by a small lam, would enter X
+            r_pv -= v @ (vd @ r_pv)
+    if a is not None:
+        av = a @ v
+        a_vv = vd @ av
+        x = a_vv * lam[..., None, :]
+        x = x + dagger(x)
+        r_vv = x if r is None else r_vv + x
+        if thin:
+            t = (av - v @ a_vv) * lam[..., None, :]
+            r_pv = t if r is None else r_pv + t
+    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+
+
 def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
                   eps_rank: float = 1e-12) -> SldResult:
     """Solve (1/2){X, rho} = R for Hermitian X.
@@ -131,35 +165,17 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
     sum_k |w_k><w_k|, solved on its decomposition (V, lam) (see
     _spectrum): from W's thin SVD when r < d, else from an eigensolve,
     whose support-kernel block is empty. rho and R may carry a leading
-    batch axis: one equation per slice.
+    batch axis: one equation per slice. The case A = 0 of _solve.
     """
-    v, lam = _spectrum(rho, r, "rhs")
-    vd = dagger(v)
-    rv = r.matrix @ v
-    r_vv = vd @ rv
-    r_pv = None
-    if v.shape[-1] < v.shape[-2]:
-        r_pv = rv - v @ r_vv
-        # project twice: a part of P R V left along V, divided by a small lam, would enter X
-        r_pv -= v @ (vd @ r_pv)
-    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+    return _solve(rho, None, r.matrix, eps_rank, "rhs")
 
 
 def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}, for rho
-    as solve_sld_rhs takes it, with R = -i[H, rho] in its blocks on
-    (V, lam): no commutator is formed."""
-    v, lam = _spectrum(rho, h, "H")
-    # V^dag R V = -i (H_vv diag(lam) - diag(lam) H_vv), with H_vv = V^dag H V,
-    # and P R V = -i P H V diag(lam), so T = -2i P H V carries no roundoff
-    # divided by a small lam
-    hv = h.matrix @ v
-    h_vv = dagger(v) @ hv
-    r_vv = -1j * (h_vv * lam[..., None, :] - lam[..., :, None] * h_vv)
-    r_pv = None
-    if v.shape[-1] < v.shape[-2]:
-        r_pv = -1j * (hv - v @ h_vv) * lam[..., None, :]
-    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+    as solve_sld_rhs takes it: the case A = -iH, R = 0 of _solve, so
+    -i[H, rho] enters in its blocks on (V, lam) and no commutator is
+    formed."""
+    return _solve(rho, -1j * h.matrix, None, eps_rank, "H")
 
 
 def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> float:

@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from qfimax import DensityMatrix, DimensionMismatch, HermitianOperator, Povm, QuantumChannel
+from qfimax import (
+    DensityMatrix,
+    DimensionMismatch,
+    HermitianOperator,
+    Povm,
+    QuantumChannel,
+    channel_adjoint_apply,
+    objective_g,
+)
+from qfimax.cfi import _cfi_operator
+from qfimax.optimizer import real_expectation
 
 
 def commutator(a, b):
@@ -19,6 +29,17 @@ def anticommutator(a, b):
     if a.shape != b.shape:
         raise DimensionMismatch(f"anticommutator: shapes {a.shape} vs {b.shape}")
     return a @ b + b @ a
+
+
+def variational_value(psi, x, ch, h):
+    """F(Lambda(|psi><psi|), X) = <psi| Lambda^dag(G(X)) |psi>."""
+    return real_expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
+
+
+def cfi_objective(psi, d, ch, h, povm):
+    """<psi| Lambda^dag(-X_2 + 2i[H, X_1]) |psi> for the estimator
+    coefficients d of the POVM."""
+    return real_expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
 
 
 def hs_norm(a):

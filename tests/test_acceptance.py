@@ -17,7 +17,6 @@ from qfimax import (
     HermitianOperator,
     OptimizerConfig,
     PureState,
-    cfi_objective,
     channel_apply,
     classical_fi,
     commuting_derivative,
@@ -44,7 +43,7 @@ from qfimax.oracles import (
     pure_state_qfi,
 )
 
-from helpers import hs_norm, random_channel, random_density, random_hermitian, random_povm
+from helpers import cfi_objective, hs_norm, random_channel, random_density, random_hermitian, random_povm
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 H_Z = HermitianOperator(SIGMA_Z / 2.0)

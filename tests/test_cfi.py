@@ -10,7 +10,6 @@ from qfimax import (
     PureState,
     ValidationError,
     basis_povm,
-    cfi_objective,
     channel_apply,
     classical_fi,
     dephasing_channel,
@@ -25,7 +24,7 @@ from qfimax import (
 from qfimax.cfi import OutcomeStatistics
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, haar_state
 
-from helpers import random_channel, random_density, random_hermitian, random_povm
+from helpers import cfi_objective, random_channel, random_density, random_hermitian, random_povm
 
 I2 = np.eye(2, dtype=complex)
 H_Z = HermitianOperator(SIGMA_Z / 2.0)

@@ -1,5 +1,5 @@
-"""The compressed and the formed covariant step against dense references,
-and metamorphic invariances of optimize."""
+"""The compressed and the formed step of the covariant and general routes
+against dense references, and metamorphic invariances of optimize."""
 
 import collections
 import importlib
@@ -18,6 +18,7 @@ from qfimax import (
     channel_adjoint_apply,
     channel_apply,
     commuting_derivative,
+    general_objective,
     is_irreducible,
     max_eigvec,
     objective_g,
@@ -25,6 +26,7 @@ from qfimax import (
     optimize_fixed_measurement,
     optimize_general,
     sld,
+    solve_sld_rhs,
     step,
 )
 from qfimax import operators, optimizer
@@ -34,6 +36,7 @@ from qfimax.operators import (
     _wrap,
     dagger,
     haar_state,
+    hermitian_operator,
     hermitian_part,
     kraus_images,
     validate,
@@ -68,6 +71,38 @@ def assert_matches_dense(psi, ch, h, n_steps=4):
         if not degenerate:
             np.testing.assert_allclose(psi_next.amplitudes, ref_next.amplitudes, rtol=0, atol=1e-12)
         psi = psi_next
+    return rec
+
+
+def dense_general_step(psi, ch, dch, cfg=CFG):
+    """The uncompressed general step: the solution L of (1/2){L, rho} =
+    Lambda'(|psi><psi|) on the full output, then the top eigenvector of
+    general_objective's sandwich-form M."""
+    rho = channel_apply(ch, psi)
+    res = solve_sld_rhs(rho, hermitian_operator(dch.apply(psi)), cfg.eps_rank)
+    psi_next, degenerate = max_eigvec(general_objective(res.L, ch, dch), cfg.eps_deg)
+    return psi_next, (qfi_from_sld(rho, res), degenerate, res.support_dim_deficit)
+
+
+def assert_general_matches_dense(psi, ch, h, n_steps=4):
+    """optimize_general on commuting_derivative(ch, h), whose first step
+    from psi is compressed, and dense_general_step agree on its trace as
+    assert_matches_dense checks: f within 1e-12 relative, flags and rank
+    deficit exactly, and the next state within 1e-12 on steps not flagged
+    degenerate."""
+    dch = commuting_derivative(ch, h)
+    one = _wrap(PureState, amplitudes=psi.amplitudes[None])
+    _, m, _ = optimizer._general_update(ch, dch, CFG)(kraus_images(ch, one), one)
+    assert isinstance(m, FactoredOperator)
+    cfg = OptimizerConfig(restarts=1, init_mode="user_supplied", initial_state=psi,
+                          max_iters=n_steps, tol=1e-300)
+    trace = optimize_general(ch, dch, cfg).trace
+    for rec, nxt in zip(trace, trace[1:] + (None,)):
+        ref_next, (f, degenerate, deficit) = dense_general_step(rec.psi, ch, dch)
+        assert rec.f == pytest.approx(f, rel=1e-12, abs=1e-12 * max(1.0, abs(f)))
+        assert (rec.degenerate_step, rec.sld_rank_deficit) == (degenerate, deficit)
+        if nxt is not None and not degenerate:
+            np.testing.assert_allclose(nxt.psi.amplitudes, ref_next.amplitudes, rtol=0, atol=1e-12)
     return rec
 
 
@@ -107,19 +142,20 @@ def eig_sizes(monkeypatch):
 
 
 class TestCompressedStep:
-    @pytest.mark.parametrize("d", [26, 28])
+    @pytest.mark.parametrize("d", [35, 37])
     def test_small_side_boundary(self, d, monkeypatch):
-        # r = 3, m = 9: r*m = 27 is d_in + 1 at d = 26 (M formed from the
-        # compressed factors) and d_in - 1 at d = 28 (the 27-sized problem)
+        # r = 3, m = 6 and 2m = 12 factor rows per Kraus operator: r*2m = 36
+        # is d_in + 1 at d = 35 (M formed from the compressed factors) and
+        # d_in - 1 at d = 37 (the 36-sized problem)
         rng = np.random.default_rng(d)
         ch, h = random_channel(d, rng, n_kraus=3), random_hermitian(d, rng)
         psi = haar_state(d, rng)
         h.eig  # noqa: B018  (the generator's eigensolve, once, outside the count)
         sizes = eig_sizes(monkeypatch)
         step(psi, ch, h, CFG)
-        # the SLD from the thin SVD of the (3, 9) compressed images, the top
+        # the SLD from the thin SVD of the (3, 6) compressed images, the top
         # eigenvector from one eigensolve
-        assert sizes == {("svd", 3, 9): 1, (d if d < 27 else 27): 1}
+        assert sizes == {("svd", 3, 6): 1, (d if d < 36 else 36): 1}
         monkeypatch.undo()
         assert_matches_dense(psi, ch, h)
 
@@ -127,7 +163,9 @@ class TestCompressedStep:
     def test_rectangular_channel(self, d_out, d_in):
         rng = np.random.default_rng(d_out + d_in)
         ch, h = isometry_channel(d_out, d_in, 2, rng), random_hermitian(d_out, rng)
-        assert_matches_dense(haar_state(d_in, rng), ch, h)
+        psi = haar_state(d_in, rng)
+        assert_matches_dense(psi, ch, h)
+        assert_general_matches_dense(psi, ch, h)
 
     def test_rank_deficient_output(self):
         # K_1 e_0 and K_2 e_0 are parallel and K_3 e_0 = 0: the output of e_0 is pure
@@ -138,8 +176,9 @@ class TestCompressedStep:
         psi = PureState(np.eye(d)[0])
         w = operators.kraus_images(ch, psi)
         assert np.linalg.matrix_rank(w) == 1 and np.max(np.abs(w[2])) <= 1e-15
-        rec = assert_matches_dense(psi, ch, random_hermitian(d, rng), n_steps=1)
-        assert rec.sld_rank_deficit == d - 1
+        h = random_hermitian(d, rng)
+        for check in (assert_matches_dense, assert_general_matches_dense):
+            assert check(psi, ch, h, n_steps=1).sld_rank_deficit == d - 1
 
     def test_scalar_generator(self):
         # H = c 1: the output commutes with H, so L = 0, M = 0 and f = 0
@@ -173,10 +212,10 @@ class TestCompressedStep:
         assert_matches_dense(psi, ch, h, n_steps=2)
 
     def test_two_small_eigensolves_per_step(self, monkeypatch):
-        # d = 32, r = 2: m = 6 and r*m = 12. Per step, the SLD from the thin
-        # SVD of the (2, 6) compressed images and the top eigenvector from
-        # the 12-sized small side; the generator's d-sized eigensolve once
-        # per solve, for the reducibility test of the kept trace
+        # d = 32, r = 2: m = 4 and r*2m = 16. Per step, the SLD from the thin
+        # SVD of the (2, 4) compressed images and the top eigenvector from
+        # the 16-sized small side; the generator's d-sized eigensolve once
+        # per solve, for the centring of H and the reducibility test
         rng = np.random.default_rng(6)
         ch, h = random_channel(32, rng, n_kraus=2), random_hermitian(32, rng)
         sizes = eig_sizes(monkeypatch)
@@ -186,7 +225,7 @@ class TestCompressedStep:
         monkeypatch.setattr(operators, "validate", lambda obj: pytest.fail("validate called"))
         result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
         n = len(result.trace)
-        assert sizes == {("svd", 2, 6): n, 12: n, 32: 1}
+        assert sizes == {("svd", 2, 4): n, 16: n, 32: 1}
         assert tops == {32: n}
 
     def test_trace_is_iterated_step(self):
@@ -350,8 +389,7 @@ def sweep_instances():
 
 class TestFormedObjective:
     """The uncompressed covariant step forms M = Lambda^dag(G(L)) as
-    4 Lambda^dag(Ht^2) - sum_k (B K_k)^dag (B K_k), B = L + 2i Ht, when
-    r*d_out >= d_in, and leaves it factored otherwise."""
+    4 Lambda^dag(Ht^2) - sum_k (B K_k)^dag (B K_k), B = L + 2i Ht."""
 
     def test_batched_gram(self):
         rng = np.random.default_rng(17)
@@ -369,26 +407,29 @@ class TestFormedObjective:
         ch, h = isometry_channel(d_out, d_in, r, rng), random_hermitian(d_out, rng)
         psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
         w = kraus_images(ch, psi)
-        f, m, _ = optimizer._sld_update(ch, h, CFG)(w, psi)
+        f, m, _ = optimizer._covariant_update(ch, h, CFG)(w, psi)
         assert isinstance(m, HermitianOperator) and np.array_equal(m.matrix, dagger(m.matrix))
         res = sld(w, h, CFG.eps_rank)
         ref = channel_adjoint_apply(ch, objective_g(res.L, h)).matrix
         assert np.abs(m.matrix - ref).max() <= 1e-12 * np.abs(m.matrix).max()
-        assert np.array_equal(f, qfi_from_sld(w, res))
+        # the step solves with H centred, sld with H as given: equal to rounding
+        np.testing.assert_allclose(f, qfi_from_sld(w, res), rtol=1e-12, atol=0)
 
-    def test_small_side_stays_factored(self):
-        # r*d_out = 6 < d_in = 9: no channel is trace preserving there, so the
-        # Kraus stack is scaled to give the one probe an output of unit trace
-        rng = np.random.default_rng(93)
-        c = rng.standard_normal((2, 3, 9)) + 1j * rng.standard_normal((2, 3, 9))
-        psi = haar_state(9, rng)
-        ch = QuantumChannel(tuple(c / np.linalg.norm(c @ psi.amplitudes)))
-        h = random_hermitian(3, rng)
-        w = kraus_images(ch, _wrap(PureState, amplitudes=psi.amplitudes[None]))
-        _, m, _ = optimizer._sld_update(ch, h, CFG)(w, psi)
-        assert isinstance(m, FactoredOperator) and m.factors is ch.stack
-        ref = channel_adjoint_apply(ch, objective_g(sld(w, h, CFG.eps_rank).L, h))
-        psi, flag = max_eigvec(m)
-        ref_psi, ref_flag = max_eigvec(ref)
-        assert np.array_equal(flag, ref_flag)
-        np.testing.assert_allclose(psi.amplitudes, ref_psi.amplitudes, rtol=0, atol=1e-12)
+    def test_eigenvalue_just_above_the_rank_cut(self):
+        # the output of e_0 has singular values (1, 0.5, 2e-6), normalised:
+        # lambda_min / lambda_max = 4e-12, just above the 1e-12 cut. The step's
+        # A part enters the solve in its blocks on (V, lam), as in sld, so no
+        # roundoff of a formed -i[H, rho] is divided by lambda_min
+        d, r = 8, 3
+        rng = np.random.default_rng(31)
+        s = np.array([1.0, 0.5, 2e-6])
+        s /= np.linalg.norm(s)
+        images = (random_unitary(r, rng) * s) @ random_unitary(d, rng)[:r]
+        ch = isometry_channel(d, d, r, rng, images.reshape(-1))
+        psi = _wrap(PureState, amplitudes=np.eye(d, dtype=complex)[:1])
+        w = kraus_images(ch, psi)
+        np.testing.assert_allclose(np.linalg.svd(w[0], compute_uv=False), s, rtol=1e-9)
+        h = random_hermitian(d, rng)
+        _, m, _ = optimizer._covariant_update(ch, h, CFG)(w, psi)
+        ref = channel_adjoint_apply(ch, objective_g(sld(w, h, CFG.eps_rank).L, h)).matrix
+        assert np.abs(m.matrix - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

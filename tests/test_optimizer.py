@@ -30,7 +30,6 @@ from qfimax import (
     sld,
     step,
     unitary_channel,
-    variational_value,
 )
 from qfimax import operators
 from qfimax.cli import main
@@ -41,7 +40,7 @@ from qfimax.sld import solve_sld_rhs
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from helpers import random_channel, random_hermitian
+from helpers import random_channel, random_hermitian, variational_value
 
 I2 = np.eye(2, dtype=complex)
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
