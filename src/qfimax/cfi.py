@@ -156,7 +156,7 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
         m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
         # the nonzero eigenvalues of rho = W W^dag are the squared singular values of W
         lam = np.linalg.svd(w, compute_uv=False) ** 2
-        cut = cfg.eps_rank * np.maximum(lam[..., :1], np.finfo(float).tiny)
+        cut = cfg.eps_rank * lam[..., :1]
         return classical_fi(stats), m, rho.dim - np.count_nonzero(lam > cut, axis=-1)
 
     return run_alternating(ch, cfg, update, h)

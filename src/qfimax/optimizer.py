@@ -26,9 +26,7 @@ from .operators import (
     _derivative_channel,
     _images,
     _kraus_gram,
-    _unbatched,
     _wrap,
-    dagger,
     derivative_adjoint_apply,
     haar_state,
     hermitian_commutator,
@@ -41,7 +39,6 @@ from .operators import (
 from .sld import _solve, is_irreducible, qfi_from_sld
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
-EPS_IMAG = 1e-8  # relative imaginary part of an expectation value
 EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
 COMPRESS_MIN_DIM = 24  # smallest output dimension at which a step is compressed (_update)
 FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibility test
@@ -119,16 +116,6 @@ def objective_g(x: HermitianOperator, h: HermitianOperator) -> HermitianOperator
     return hermitian_operator(g)
 
 
-def real_expectation(psi: PureState, op: HermitianOperator) -> float:
-    """<psi|op|psi>, which must be real; one value per probe of a stack."""
-    v = psi.amplitudes[..., None]
-    val = (dagger(v) @ op.matrix @ v)[..., 0, 0]
-    imag = np.max(np.abs(val.imag) / np.maximum(1.0, np.abs(val.real)))
-    if imag > EPS_IMAG:
-        raise NumericError(f"expectation has relative imaginary part {imag:.3e}")
-    return _unbatched(val.real)
-
-
 def general_objective(
     x: HermitianOperator, ch: QuantumChannel, dch: DerivativeChannel
 ) -> HermitianOperator:
@@ -138,7 +125,8 @@ def general_objective(
     exactly Hermitian, as the Hermitized derivative adjoint is, so their
     difference is too. optimize_general forms this operator so only for a
     pair list with no mirrored pair on the Kraus operators; otherwise it
-    takes those pairs as a completed square (_update)."""
+    takes those pairs as a completed square (_update). At X the SLD,
+    <psi|M|psi> = Tr(rho L^2), the value that every route reports."""
     if ch.dim_out != x.dim:
         raise DimensionMismatch(f"channel adjoint expects dim {ch.dim_out}, operator has dim {x.dim}")
     out = 2.0 * derivative_adjoint_apply(dch, x).matrix
@@ -337,38 +325,36 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
             e: np.ndarray | None = None, residual: DerivativeChannel | None = None):
     """The update of every channel route: the solution L of (1/2){L, rho}
     = Lambda'(|psi><psi|) and M = -Lambda^dag(L^2) + 2 Lambda'^dag(L), for
-    Lambda' = sum_k (F_k . K_k^dag + K_k . F_k^dag) + the residual map and
-    the aligned part stored as F_k = A K_k + E_k (a, e None for 0).
+    Lambda' = sum_k (F_k . K_k^dag + K_k . F_k^dag) + the residual map.
+    The aligned part is F_k = A K_k (optimize's a alone) or F_k = E_k
+    (optimize_general's e and residual pairs, either None for none).
 
     The right-hand side is A rho + rho A^dag, taken in its blocks on the
-    output's decomposition (sld._solve), plus the formed R = sum_k z_k
-    w_k^dag + h.c. of the images z_k = E_k psi and the residual map's
+    output's decomposition (sld._solve), or the formed R = sum_k z_k
+    w_k^dag + h.c. of the images z_k = E_k psi plus the residual map's
     output, whose Hermiticity is checked. M is the completed square
-    4 sum_k F_k^dag F_k - sum_k Y_k^dag Y_k, Y_k = (L - 2A) K_k - 2 E_k,
-    plus 2 Lambda_res'^dag(L): the first term once per solve, the second
-    one Gram product per step, both exactly Hermitian.
+    4 sum_k F_k^dag F_k - sum_k Y_k^dag Y_k, Y_k = (L - 2A) K_k or
+    L K_k - 2 E_k, plus 2 Lambda_res'^dag(L): the first term once per
+    solve, the second one Gram product per step, both exactly Hermitian.
+    With no aligned part M is general_objective's sandwich form.
 
     With no residual pair, rho and the right-hand side live in Q =
-    orth[W, AW + Z] (m = 2r columns, one QR per probe). Once dim_out >=
+    orth[W, FW] (m = 2r columns, one QR per probe). Once dim_out >=
     COMPRESS_MIN_DIM and the 2m rows of each factor C_k = [Q^dag K_k;
     Q^dag F_k] are at most dim_out / 2, the solve runs on Q^dag W with
-    Q^dag A Q and Q^dag R Q, and M = sum_k C_k^dag g C_k is left factored,
+    Q^dag A Q or Q^dag R Q, and M = sum_k C_k^dag g C_k is left factored,
     g = [[-l^2, 2l], [2l, 0]] with l = Q^dag L Q.
 
-    f is Tr(rho L^2) and the rank deficit dim_out - rank. With no aligned
-    part M is general_objective's sandwich form and f <psi|M|psi>."""
+    f is Tr(rho L^2), which is <psi|M|psi> at the SLD, and the rank
+    deficit dim_out - rank."""
     r, d_out, d_in = ch.stack.shape
-    aligned = a is not None or e is not None
-    compress = aligned and residual is None and d_out >= COMPRESS_MIN_DIM and 8 * r <= d_out
-    square, two_a, two_e = 0.0, None, None
-    if aligned:
-        f = e if a is None else np.matmul(a, ch.stack) if e is None else np.matmul(a, ch.stack) + e
-        if compress:
-            kf = np.stack((ch.stack, f), axis=1)  # all C_k = Q^dag [K_k; F_k] in one product
-        else:
-            square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
-            two_a = None if a is None else 2.0 * a
-            two_e = None if e is None else 2.0 * e
+    f = e if a is None else np.matmul(a, ch.stack)  # F_k; None for the residual map alone
+    compress = f is not None and residual is None and d_out >= COMPRESS_MIN_DIM and 8 * r <= d_out
+    square = 0.0
+    if compress:
+        kf = np.stack((ch.stack, f), axis=1)  # all C_k = Q^dag [K_k; F_k] in one product
+    elif f is not None:
+        square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
 
     def update(w, psi):
         rhs = None
@@ -378,7 +364,7 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
                 raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
         z = None if e is None else _images(e, psi.amplitudes)
         if compress:
-            fw = z if a is None else w @ a.T if z is None else w @ a.T + z  # rows F_k psi
+            fw = w @ a.T if z is None else z  # rows F_k psi
             q = np.linalg.qr(np.concatenate((w, fw), axis=-2).swapaxes(-1, -2))[0]
             qc = q.conj()
             qd = qc.swapaxes(-1, -2)
@@ -398,16 +384,17 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
             g[..., :k, :k] = -(l @ l)
             g[..., :k, k:] = g[..., k:, :k] = 2.0 * l
             c = np.matmul(qd[..., None, None, :, :], kf).reshape(l.shape[:-2] + (r, 2 * k, d_in))
-            return qfi_from_sld(w, res), FactoredOperator(c, hermitian_operator(g)), d_out - res.rank
-        res = _solve(w, a, rhs, cfg.eps_rank, "H")
-        y = np.matmul((res.L.matrix if a is None else res.L.matrix - two_a)[..., None, :, :], ch.stack)
-        if e is not None:
-            y -= two_e
-        m = square - _kraus_gram(y)
-        if residual is not None:
-            m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
-        m = _checked_hermitian(m)
-        return (qfi_from_sld(w, res) if aligned else real_expectation(psi, m)), m, d_out - res.rank
+            m = FactoredOperator(c, hermitian_operator(g))
+        else:
+            res = _solve(w, a, rhs, cfg.eps_rank, "H")
+            y = np.matmul((res.L.matrix if a is None else res.L.matrix - 2.0 * a)[..., None, :, :], ch.stack)
+            if e is not None:
+                y -= 2.0 * e
+            m = square - _kraus_gram(y)
+            if residual is not None:
+                m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
+            m = _checked_hermitian(m)
+        return qfi_from_sld(w, res), m, d_out - res.rank
 
     return update
 
@@ -437,7 +424,8 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     derivative's mirrored pairs (A, K_k), (K_k, A) on the Kraus operators
     of ch, such as all of commuting_derivative's, enter M as a completed
     square, the form of the Fujiwara-Imai bound, through the update that
-    optimize runs; the other pairs as sandwiches (_update)."""
+    optimize runs; the other pairs as sandwiches (_update). Each step's
+    value is Tr(rho L^2), with or without mirrored pairs."""
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
     return run_alternating(ch, cfg, _general_update(ch, dch, cfg))

@@ -1,11 +1,11 @@
 """Symmetric logarithmic derivative solver and quantum Fisher information.
 
-The defining equation (1/2){L, rho} = A rho + rho A^dag + R (A = -iH for
-the SLD of the covariant family) is the single source of truth. One solve
-(_solve) works on a decomposition rho = V diag(lam) V^dag: the thin SVD of
-W for a low-rank rho = W W^dag given by W, else rho's eigenbasis, where the
-support-kernel block is empty. It is verified through its residual rather
-than any transcribed closed form.
+The defining equation (1/2){L, rho} = A rho + rho A^dag (A = -iH for the
+SLD of the covariant family), or (1/2){L, rho} = R, is the single source
+of truth. One solve (_solve) works on a decomposition rho = V diag(lam)
+V^dag: the thin SVD of W for a low-rank rho = W W^dag given by W, else
+rho's eigenbasis, where the support-kernel block is empty. It is verified
+through its residual rather than any transcribed closed form.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.nd
 
 def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray | None,
            eps_rank: float, name: str) -> SldResult:
-    """Solve (1/2){X, rho} = A rho + rho A^dag + R for Hermitian X, on
-    rho's decomposition (V, lam) (see _spectrum): A is any square matrix
-    and R a Hermitian one, either None for 0, each with rho's leading batch
-    axis or none. The A part enters in its blocks on (V, lam):
+    """Solve (1/2){X, rho} = A rho + rho A^dag or (1/2){X, rho} = R for
+    Hermitian X, on rho's decomposition (V, lam) (see _spectrum): A is any
+    square matrix, or, for a None, R a Hermitian one, either with rho's
+    leading batch axis or none. A enters in its blocks on (V, lam):
     V^dag (A rho + rho A^dag) V = A_vv lam + (A_vv lam)^dag with A_vv =
     V^dag A V, and P (A rho + rho A^dag) V = P A V lam, so it is never
     formed and T carries no roundoff divided by a small lam. name names
@@ -135,23 +135,21 @@ def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray 
     v, lam = _spectrum(rho, (r if a is None else a).shape[-1], name)
     vd = dagger(v)
     thin = v.shape[-1] < v.shape[-2]
-    r_vv = r_pv = None
-    if r is not None:
+    r_pv = None
+    if a is None:
         rv = r @ v
         r_vv = vd @ rv
         if thin:
             r_pv = rv - v @ r_vv
             # project twice: a part of P R V left along V, divided by a small lam, would enter X
             r_pv -= v @ (vd @ r_pv)
-    if a is not None:
+    else:
         av = a @ v
         a_vv = vd @ av
-        x = a_vv * lam[..., None, :]
-        x = x + dagger(x)
-        r_vv = x if r is None else r_vv + x
+        r_vv = a_vv * lam[..., None, :]
+        r_vv = r_vv + dagger(r_vv)
         if thin:
-            t = (av - v @ a_vv) * lam[..., None, :]
-            r_pv = t if r is None else r_pv + t
+            r_pv = (av - v @ a_vv) * lam[..., None, :]
     return _solve_support(v, lam, r_vv, r_pv, eps_rank)
 
 
@@ -165,14 +163,14 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
     sum_k |w_k><w_k|, solved on its decomposition (V, lam) (see
     _spectrum): from W's thin SVD when r < d, else from an eigensolve,
     whose support-kernel block is empty. rho and R may carry a leading
-    batch axis: one equation per slice. The case A = 0 of _solve.
+    batch axis: one equation per slice. The R case of _solve.
     """
     return _solve(rho, None, r.matrix, eps_rank, "rhs")
 
 
 def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}, for rho
-    as solve_sld_rhs takes it: the case A = -iH, R = 0 of _solve, so
+    as solve_sld_rhs takes it: the case A = -iH of _solve, so
     -i[H, rho] enters in its blocks on (V, lam) and no commutator is
     formed."""
     return _solve(rho, -1j * h.matrix, None, eps_rank, "H")

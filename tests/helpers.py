@@ -12,7 +12,6 @@ from qfimax import (
     objective_g,
 )
 from qfimax.cfi import _cfi_operator
-from qfimax.optimizer import real_expectation
 
 
 def commutator(a, b):
@@ -31,15 +30,21 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
+def _expectation(psi, op):
+    """<psi|op|psi>, real for the Hermitian op."""
+    v = psi.amplitudes
+    return float((v.conj() @ op.matrix @ v).real)
+
+
 def variational_value(psi, x, ch, h):
     """F(Lambda(|psi><psi|), X) = <psi| Lambda^dag(G(X)) |psi>."""
-    return real_expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
+    return _expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
 
 
 def cfi_objective(psi, d, ch, h, povm):
     """<psi| Lambda^dag(-X_2 + 2i[H, X_1]) |psi> for the estimator
     coefficients d of the POVM."""
-    return real_expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
+    return _expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
 
 
 def hs_norm(a):

@@ -423,17 +423,21 @@ class TestKrausAlignedDerivative:
 
     @pytest.mark.parametrize("d, r", [(4, 4), (6, 2)])
     def test_split_objective_matches_sandwich_form(self, d, r):
-        # commuting pairs plus one residual (cX, X): the completed square and
-        # the residual sandwich give general_objective's M at a fixed probe
+        # commuting pairs plus one residual (cX, X), and a finite difference
+        # with no mirrored pair: the step gives general_objective's M at a
+        # fixed probe, and its value Tr(rho L^2) is <psi|M|psi>
         rng = np.random.default_rng(24 + d)
         ch, h = random_channel(d, rng, n_kraus=r), random_hermitian(d, rng)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        dch = DerivativeChannel(commuting_derivative(ch, h).terms + ((0.3 * x, x),))
-        assert len(_kraus_aligned(ch, dch)[1].terms) == 1
+        mixed = DerivativeChannel(commuting_derivative(ch, h).terms + ((0.3 * x, x),))
+        assert len(_kraus_aligned(ch, mixed)[1].terms) == 1
+        fd = finite_difference_derivative(lambda phi: compose_channels(ch, unitary_channel(h.matrix, phi)))
+        assert _kraus_aligned(ch, fd) == (None, fd)
         psi = PureState(rng.standard_normal(d) + 1j * rng.standard_normal(d))
         psi = PureState(psi.amplitudes / np.linalg.norm(psi.amplitudes))
         w = kraus_images(ch, psi)
-        f, m, _ = _general_update(ch, dch, FAST)(w, psi)
-        ref = general_objective(solve_sld_rhs(w, hermitian_operator(dch.apply(psi))).L, ch, dch).matrix
-        np.testing.assert_allclose(m.matrix, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-        assert f == pytest.approx(np.vdot(psi.amplitudes, ref @ psi.amplitudes).real, rel=1e-12)
+        for dch in (mixed, fd):
+            f, m, _ = _general_update(ch, dch, FAST)(w, psi)
+            ref = general_objective(solve_sld_rhs(w, hermitian_operator(dch.apply(psi))).L, ch, dch).matrix
+            np.testing.assert_allclose(m.matrix, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            assert f == pytest.approx(np.vdot(psi.amplitudes, ref @ psi.amplitudes).real, rel=1e-12)

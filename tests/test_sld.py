@@ -269,10 +269,10 @@ class TestImagesPath:
         _assert_same_solve(solve_sld_rhs(w, rhs), solve_sld_rhs(rho, rhs))
         np.testing.assert_allclose(qfi_from_sld(w, sld(w, h)), qfi_from_sld(rho, sld(rho, h)),
                                    rtol=1e-12)
-        # a non-Hermitian A in its blocks plus the formed R, against A rho + rho A^dag + R formed
+        # a non-Hermitian A in its blocks, against A rho + rho A^dag formed
         a = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
-        whole = hermitian_operator(a @ rho.matrix + rho.matrix @ dagger(a) + rhs.matrix)
-        _assert_same_solve(sld_module._solve(w, a, rhs.matrix, 1e-12, "A"), solve_sld_rhs(rho, whole))
+        whole = hermitian_operator(a @ rho.matrix + rho.matrix @ dagger(a))
+        _assert_same_solve(sld_module._solve(w, a, None, 1e-12, "A"), solve_sld_rhs(rho, whole))
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_residual_is_the_defining_equation(self, d):
