@@ -1,6 +1,8 @@
 """Classical Fisher information for a fixed POVM: direct evaluation, the
 variational form with moment operators X_j = sum_x D(x)^j Pi_x, the optimal
-estimator coefficients, and the alternating optimizer over input states.
+estimator coefficients, and the alternating optimizer over input states,
+whose step reads everything from the Heisenberg-picture operators
+Lambda^dag(Pi_x) and Lambda^dag(i[H, Pi_x]), made once per solve.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .operators import (
     QuantumChannel,
     _unbatched,
     _wrap,
-    channel_adjoint_apply,
+    dagger,
     hermitian_commutator,
     hermitian_operator,
-    mixture,
+    hermitian_part,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, run_alternating
 
@@ -104,23 +106,22 @@ def _real_rows(povm: Povm) -> np.ndarray:
     return povm.stack.reshape(len(povm.stack), -1).view(float)
 
 
+def _on_support(num: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """num / p on the numerical support {p > EPS_PROB}, 0 elsewhere."""
+    return np.divide(num, p, out=np.zeros_like(p), where=p > EPS_PROB)
+
+
 def classical_fi(stats: OutcomeStatistics) -> float:
     """Sum of dp^2/p over the numerical support {p > EPS_PROB}; one value
     per row of a stack."""
-    p = stats.probs
-    terms = np.divide(stats.dprobs ** 2, p, out=np.zeros_like(p), where=p > EPS_PROB)
-    return _unbatched(terms.sum(axis=-1))
+    return _unbatched(_on_support(stats.dprobs ** 2, stats.probs).sum(axis=-1))
 
 
 def optimal_d(rho: DensityMatrix, h: HermitianOperator, povm: Povm) -> EstimatorCoefficients:
     """Optimal coefficients D(x) = dp(x)/p(x) on the support, 0 elsewhere."""
-    return _optimal_d_from_stats(outcome_statistics(rho, h, povm))
-
-
-def _optimal_d_from_stats(stats: OutcomeStatistics) -> EstimatorCoefficients:
-    p = stats.probs
-    values = np.divide(stats.dprobs, p, out=np.zeros_like(p), where=p > EPS_PROB)
-    return _wrap(EstimatorCoefficients, values=values, labels=stats.labels)
+    stats = outcome_statistics(rho, h, povm)
+    return _wrap(EstimatorCoefficients, values=_on_support(stats.dprobs, stats.probs),
+                 labels=stats.labels)
 
 
 def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
@@ -134,29 +135,65 @@ def x_moment(d: EstimatorCoefficients, povm: Povm, j: int) -> HermitianOperator:
     return hermitian_operator(out.reshape(out.shape[:-2] + (povm.dim, povm.dim)))
 
 
-def _cfi_operator(d: EstimatorCoefficients, h: HermitianOperator, povm: Povm) -> HermitianOperator:
-    x1 = x_moment(d, povm, 1)
-    x2 = x_moment(d, povm, 2)
-    op = -x2.matrix + 2j * hermitian_commutator(h.matrix, x1.matrix)
-    return hermitian_operator(op)
+def _heisenberg_rows(ch: QuantumChannel, h: HermitianOperator, povm: Povm) -> np.ndarray:
+    """The (2n, 2 dim_in^2) real view of the stack [A; B] of the
+    Heisenberg-picture operators A_x = Lambda^dag(Pi_x) and B_x =
+    Lambda^dag(i[H, Pi_x]), both exactly Hermitian, so that p_x =
+    <psi|A_x|psi> and dp_x = <psi|B_x|psi>.
+
+    One outcome at a time, with the Kraus operators side by side as
+    K = [K_1 ... K_r]: Y = Pi_x K holds every Pi_x K_k, and one product of
+    Y with [K; Ht K]^dag gives A_x = sum_k K_k^dag Pi_x K_k and Z_x =
+    sum_k (Ht K_k)^dag Pi_x K_k, with B_x = i(Z_x - Z_x^dag). Ht = H - mu 1,
+    mu the middle of H's spectrum, leaves [H, Pi_x] unchanged and keeps Z_x
+    no larger than B_x needs."""
+    r, d_out, d_in = ch.stack.shape
+    lam = h.eig.eigenvalues
+    ht = h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(d_out)
+    k = ch.stack.swapaxes(0, 1).reshape(d_out, r * d_in)
+    # rows (a, k) of [K_k; Ht K_k] against rows (a, k) of Y: the sum over k is one product
+    kk = np.concatenate((k.reshape(d_out * r, d_in), (ht @ k).reshape(d_out * r, d_in)), axis=1)
+    kk = dagger(kk).copy()
+    rows = np.empty((2, len(povm.stack), d_in, d_in), dtype=complex)
+    for x, pi in enumerate(povm.stack):
+        az = kk @ (pi @ k).reshape(d_out * r, d_in)
+        rows[0, x] = hermitian_part(az[:d_in])
+        z = az[d_in:]
+        rows[1, x] = 1j * (z - dagger(z))
+    return rows.reshape(2 * len(povm.stack), -1).view(float)
+
+
+def _fixed_measurement_update(ch: QuantumChannel, h: HermitianOperator, povm: Povm):
+    """The update of optimize_fixed_measurement, on the rows S of
+    _heisenberg_rows, made once per solve. For each probe psi of the
+    stack: (p, dp) = S vec(|psi><psi|), the coefficients D = dp/p on the
+    support, the value f = sum dp^2/p and M = sum_x (-D_x^2 A_x + 2 D_x
+    B_x) = Lambda^dag(-X_2 + 2i[H, X_1]), each one real product with S.
+    The rank deficits are left to the kept trace (None)."""
+    rows = _heisenberg_rows(ch, h, povm)
+    n, d_in = len(povm.stack), ch.dim_in
+
+    def update(w, psi):
+        v = psi.amplitudes
+        rho_in = v[..., :, None] * v[..., None, :].conj()
+        pd = rho_in.reshape(v.shape[:-1] + (-1,)).view(float) @ rows.T
+        p, dp = pd[..., :n], pd[..., n:]
+        _check_sums(p, dp)
+        d = _on_support(dp, p)
+        m = (np.concatenate((-d * d, 2.0 * d), axis=-1) @ rows).view(complex)
+        m = hermitian_operator(m.reshape(v.shape[:-1] + (d_in, d_in)))
+        return _on_support(dp ** 2, p).sum(axis=-1), m, None
+
+    return update
 
 
 def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: Povm,
                                cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Maximize the classical Fisher information of a fixed POVM over input
     probe states, alternating between the optimal estimator coefficients
-    and a maximum-eigenvector state update."""
+    and a maximum-eigenvector state update (_fixed_measurement_update): no
+    output state is formed, and the outputs' rank deficits are counted on
+    the kept restart's trace alone (run_alternating)."""
     if ch.dim_out != h.dim or povm.dim != h.dim:
         raise ValidationError("generator, POVM and channel output dimensions must match")
-
-    def update(w, psi):
-        rho = mixture(w)
-        stats = outcome_statistics(rho, h, povm)
-        d = _optimal_d_from_stats(stats)
-        m = channel_adjoint_apply(ch, _cfi_operator(d, h, povm))
-        # the nonzero eigenvalues of rho = W W^dag are the squared singular values of W
-        lam = np.linalg.svd(w, compute_uv=False) ** 2
-        cut = cfg.eps_rank * lam[..., :1]
-        return classical_fi(stats), m, rho.dim - np.count_nonzero(lam > cut, axis=-1)
-
-    return run_alternating(ch, cfg, update, h)
+    return run_alternating(ch, cfg, _fixed_measurement_update(ch, h, povm), h)

@@ -141,37 +141,51 @@ def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig):
     stack of the columns of each W with rho = W W^dag, and returns, for
     the best argument given each rho, the values f (b,), the objective
     operators M they define as one stacked HermitianOperator or
-    FactoredOperator, and the rank deficits (b,); the next probes are the
-    top eigenvectors of M. Returns the next probes and the step's
-    per-probe arrays (f, degenerate, rank deficit)."""
+    FactoredOperator, and the rank deficits (b,), or None to leave them
+    to the kept trace (run_alternating); the next probes are the top
+    eigenvectors of M. Returns the next probes and the step's per-probe
+    arrays (f, degenerate, rank deficit or None)."""
     w = kraus_images(ch, psi)
     f, m, rank_deficit = update(w, psi)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
     return psi_next, (f, degenerate, rank_deficit)
 
 
-def _irreducible(ch: QuantumChannel, probes: list, h: HermitianOperator | None, eps: float) -> list:
-    """is_irreducible of the output of each probe in the list of amplitude
-    vectors probes against h, in stacks of at most FLAG_BLOCK_ENTRIES
-    output matrix entries; None for each without a generator."""
-    if h is None:
-        return [None] * len(probes)
+def _kept_diagnostics(ch: QuantumChannel, probes: list, h: HermitianOperator | None,
+                      cfg: OptimizerConfig, ranks: bool) -> tuple:
+    """(flags, deficits) of the outputs of the probes in the list of
+    amplitude vectors probes: is_irreducible against h (None each without
+    a generator) and, if ranks, dim_out - rank (None each otherwise), from
+    their Kraus images W in stacks of at most FLAG_BLOCK_ENTRIES output
+    matrix entries. The nonzero eigenvalues of rho = W W^dag are the
+    squared singular values of W, counted above eps_rank times the
+    largest."""
+    flags = [None] * len(probes)
+    deficits = [None] * len(probes)
+    if h is None and not ranks:
+        return flags, deficits
     block = max(1, FLAG_BLOCK_ENTRIES // ch.dim_out ** 2)
-    flags = []
     for i in range(0, len(probes), block):
-        psi = _wrap(PureState, amplitudes=np.stack(probes[i:i + block]))
-        flags.extend(is_irreducible(kraus_images(ch, psi), h, eps))
-    return flags
+        w = kraus_images(ch, _wrap(PureState, amplitudes=np.stack(probes[i:i + block])))
+        if h is not None:
+            flags[i:i + len(w)] = is_irreducible(w, h, cfg.eps_deg)
+        if ranks:
+            lam = np.linalg.svd(w, compute_uv=False) ** 2
+            rank = np.count_nonzero(lam > cfg.eps_rank * lam[..., :1], axis=-1)
+            deficits[i:i + len(w)] = ch.dim_out - rank
+    return flags, deficits
 
 
-def _record(n: int, amplitudes: np.ndarray, arrays: tuple, j: int, irreducible) -> IterationRecord:
+def _record(n: int, amplitudes: np.ndarray, arrays: tuple, j: int, irreducible,
+            rank_deficit) -> IterationRecord:
     """The record of step n from the probe's amplitudes, entry j of the
-    step's per-probe arrays and the probe's reducibility flag (None
-    without a generator)."""
-    f, degenerate, rank_deficit = arrays
+    step's per-probe arrays, the probe's reducibility flag (None without
+    a generator) and its rank deficit, entry j of the step's when that is
+    None."""
+    f, degenerate, deficits = arrays
     return IterationRecord(n=n, f=float(f[j]), psi=_wrap(PureState, amplitudes=amplitudes),
                            degenerate_step=bool(degenerate[j]),
-                           sld_rank_deficit=int(rank_deficit[j]),
+                           sld_rank_deficit=int(deficits[j] if rank_deficit is None else rank_deficit),
                            irreducible=None if irreducible is None else bool(irreducible))
 
 
@@ -184,9 +198,9 @@ def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
     the record of step n."""
     psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
     psi_next, arrays = _lockstep(psi, ch, _covariant_update(ch, h, cfg), cfg)
-    irreducible = _irreducible(ch, [psi_n.amplitudes], h, cfg.eps_deg)[0]
+    flags, _ = _kept_diagnostics(ch, [psi_n.amplitudes], h, cfg, ranks=False)
     return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
-            _record(n, psi_n.amplitudes, arrays, 0, irreducible))
+            _record(n, psi_n.amplitudes, arrays, 0, flags[0], None))
 
 
 def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
@@ -207,7 +221,8 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     leaves the stack once the objective changes by at most tol, or after
     max_iters steps. The kept restart is the best, the lowest index among
     those within EPS_TIE of it. Reducibility is tested only against a
-    generator h, and only on the kept restart's probes, once it is known."""
+    generator h, and only on the kept restart's probes, once it is known;
+    so are the rank deficits, for an update that leaves them (None)."""
     b = cfg.restarts
     psi = _wrap(PureState, amplitudes=np.stack(
         [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
@@ -238,9 +253,10 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
         if values[k] > values[best] + EPS_TIE * max(1.0, abs(values[best])):
             best = k
     kept = [(ids.index(best), p, arrays) for ids, p, arrays in steps[:iterations[best]]]
-    flags = _irreducible(ch, [p.amplitudes[j] for j, p, _ in kept], h, cfg.eps_deg)
-    trace = tuple(_record(n, p.amplitudes[j], arrays, j, flag)
-                  for n, ((j, p, arrays), flag) in enumerate(zip(kept, flags)))
+    ranks = steps[0][2][2] is None  # the update left the rank deficits to the kept trace
+    flags, deficits = _kept_diagnostics(ch, [p.amplitudes[j] for j, p, _ in kept], h, cfg, ranks)
+    trace = tuple(_record(n, p.amplitudes[j], arrays, j, flag, deficit)
+                  for n, ((j, p, arrays), flag, deficit) in enumerate(zip(kept, flags, deficits)))
     warnings = []
     for label, pred in (
         ("degenerate top eigenvalue", lambda rec: rec.degenerate_step),

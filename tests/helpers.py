@@ -10,8 +10,9 @@ from qfimax import (
     QuantumChannel,
     channel_adjoint_apply,
     objective_g,
+    x_moment,
 )
-from qfimax.cfi import _cfi_operator
+from qfimax.operators import hermitian_commutator, hermitian_operator
 
 
 def commutator(a, b):
@@ -41,10 +42,19 @@ def variational_value(psi, x, ch, h):
     return _expectation(psi, channel_adjoint_apply(ch, objective_g(x, h)))
 
 
+def cfi_operator(d, h, povm):
+    """-X_2 + 2i[H, X_1] for the estimator coefficients d of the POVM (for
+    each row of a stack d): the Schroedinger-picture operator whose
+    channel adjoint is the fixed-POVM step's M."""
+    x1 = x_moment(d, povm, 1)
+    x2 = x_moment(d, povm, 2)
+    return hermitian_operator(-x2.matrix + 2j * hermitian_commutator(h.matrix, x1.matrix))
+
+
 def cfi_objective(psi, d, ch, h, povm):
     """<psi| Lambda^dag(-X_2 + 2i[H, X_1]) |psi> for the estimator
     coefficients d of the POVM."""
-    return _expectation(psi, channel_adjoint_apply(ch, _cfi_operator(d, h, povm)))
+    return _expectation(psi, channel_adjoint_apply(ch, cfi_operator(d, h, povm)))
 
 
 def hs_norm(a):

@@ -8,6 +8,7 @@ from qfimax import (
     OptimizerConfig,
     Povm,
     PureState,
+    QuantumChannel,
     ValidationError,
     basis_povm,
     channel_apply,
@@ -21,10 +22,27 @@ from qfimax import (
     qfi,
     x_moment,
 )
-from qfimax.cfi import OutcomeStatistics
-from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, haar_state
+from qfimax import cfi
+from qfimax.cfi import EPS_PROB, OutcomeStatistics
+from qfimax.operators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _wrap,
+    channel_adjoint_apply,
+    haar_state,
+    kraus_images,
+    mixture,
+)
 
-from helpers import cfi_objective, random_channel, random_density, random_hermitian, random_povm
+from helpers import (
+    cfi_objective,
+    cfi_operator,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_povm,
+)
 
 I2 = np.eye(2, dtype=complex)
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
@@ -152,6 +170,66 @@ class TestFixedMeasurementOptimizer:
                 ch, h, povm, OptimizerConfig(restarts=1, max_iters=60, seed=6))
             for a, b in zip(result.trace, result.trace[1:]):
                 assert b.f >= a.f - 1e-9 * max(1.0, a.f)
+
+
+class TestHeisenbergStep:
+    """The fixed-POVM step reads (p, dp) and forms M from A_x =
+    Lambda^dag(Pi_x) and B_x = Lambda^dag(i[H, Pi_x]), made once per solve;
+    the Schroedinger picture, through the output state, is the reference."""
+
+    @staticmethod
+    def _case(d_in, d_out, r, seed):
+        """A channel from a random isometry C^d_in -> C^(r d_out), a
+        generator and a POVM whose first outcome, when r d_in < d_out, is
+        the projector off the channel's range: p = 0 for every probe."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((r * d_out, d_in)) + 1j * rng.standard_normal((r * d_out, d_in))
+        ch = QuantumChannel(tuple(np.linalg.qr(g)[0].reshape(r, d_out, d_in)))
+        h, povm = random_hermitian(d_out, rng), random_povm(d_out, rng)
+        if r * d_in < d_out:
+            u = np.linalg.svd(ch.stack.swapaxes(0, 1).reshape(d_out, r * d_in))[0]
+            on = u[:, :r * d_in] @ u[:, :r * d_in].conj().T
+            povm = Povm((np.eye(d_out) - on,) + tuple(on @ e @ on for e in povm.elements))
+        return ch, h, povm
+
+    # rectangular both ways, rank-deficient outputs (r < d_out) and, in the
+    # first, an outcome off the range; then a square full-rank case
+    CASES = [(2, 6, 2), (5, 3, 2), (4, 4, 4)]
+
+    @pytest.mark.parametrize("d_in, d_out, r", CASES)
+    def test_step_is_the_schroedinger_picture(self, d_in, d_out, r):
+        ch, h, povm = self._case(d_in, d_out, r, d_in * d_out * r)
+        rng = np.random.default_rng(r)
+        psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
+        w = kraus_images(ch, psi)
+        f, m, deficits = cfi._fixed_measurement_update(ch, h, povm)(w, psi)
+        rho = mixture(w)
+        stats = outcome_statistics(rho, h, povm)
+        if r * d_in < d_out:
+            assert np.all(stats.probs[:, 0] <= EPS_PROB)
+        np.testing.assert_allclose(f, classical_fi(stats), rtol=1e-12, atol=0)
+        ref = channel_adjoint_apply(ch, cfi_operator(optimal_d(rho, h, povm), h, povm)).matrix
+        assert np.abs(m.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert deficits is None  # counted on the kept trace (optimizer.run_alternating)
+
+    @pytest.mark.parametrize("d_in, d_out, r", CASES)
+    def test_heisenberg_operators_sum_to_the_identity_and_zero(self, d_in, d_out, r):
+        ch, h, povm = self._case(d_in, d_out, r, d_in * d_out * r)
+        a, b = cfi._heisenberg_rows(ch, h, povm).view(complex).reshape(2, -1, d_in, d_in)
+        np.testing.assert_allclose(a.sum(axis=0), np.eye(d_in), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.sum(axis=0), 0.0, rtol=0, atol=1e-12)
+
+    def test_rank_deficits_of_the_kept_trace(self):
+        # the step leaves the rank count to the kept trace: each record's
+        # deficit is d_out - rank of its own output, counted from rho's spectrum
+        ch, h, povm = self._case(6, 6, 2, 3)
+        cfg = OptimizerConfig(restarts=3, seed=2, max_iters=40)
+        result = optimize_fixed_measurement(ch, h, povm, cfg)
+        for rec in result.trace:
+            lam = np.linalg.eigvalsh(channel_apply(ch, rec.psi).matrix)
+            assert rec.sld_rank_deficit == 6 - np.count_nonzero(lam > cfg.eps_rank * lam[-1]), rec.n
+        assert {rec.sld_rank_deficit for rec in result.trace} == {4}
+        assert any(w.startswith("rank-deficient SLD") for w in result.warnings)
 
 
 class TestGeneratorScale:
