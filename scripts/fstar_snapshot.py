@@ -5,14 +5,18 @@ A snapshot holds f_star, restart_values, restart_iterations and warnings of
 every solve command (qfi-max, qfi-max-general, cfi-max) on every bundled
 problem in problems/ that supports it, and of every instance of the
 benchmark's converge sweep (bench/inputs.py) on each route, with the
-restarts and seed that the converge workload uses. --large-seed adds
+restarts and seed that the converge workload uses. It also holds f_star
+and psi_star of the oracle command on every bundled problem. --large-seed adds
 round 0 of the iterate-large workload for that benchmark seed. The library
 solved is the one in this checkout's src/.
 
 --compare prints the largest relative difference of f_star and the restart
 values between two snapshots, and every change of an iteration count, a
-warning or the set of solves. It exits 1 if a value moved by more than
-1e-12 (relative) or anything else changed, and 0 otherwise.
+warning, an oracle's probe or the set of solves. It exits 1 if a value
+moved by more than 1e-12 (relative) or anything else changed, and 0
+otherwise. To compare another commit's library with this one, run this
+script from a copy placed in that commit's checkout, so that both
+snapshots hold the same set of solves.
 
 Usage:
     python scripts/fstar_snapshot.py --out after.json [--smoke] [--large-seed 1]
@@ -33,7 +37,7 @@ import workloads  # noqa: E402
 from qfimax.cli import REQUIRED_SECTIONS, run_command  # noqa: E402
 from qfimax.problem import parse_problem  # noqa: E402
 
-SOLVE_COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max")
+COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "oracle")
 REL_TOL = 1e-12
 
 
@@ -47,13 +51,16 @@ def problem_solves() -> dict:
     out = {}
     for path in sorted((ROOT / "problems").glob("*.json")):
         problem = parse_problem(path.read_bytes())
-        for cmd in SOLVE_COMMANDS:
+        for cmd in COMMANDS:
             if all(getattr(problem, name) is not None for name in REQUIRED_SECTIONS[cmd]):
                 report = run_command(cmd, problem)
                 restarts = report["restarts"]
-                out[f"problems/{path.name} {cmd}"] = _entry(
+                entry = out[f"problems/{path.name} {cmd}"] = _entry(
                     report["f_star"], [r["f"] for r in restarts],
                     [r["iterations"] for r in restarts], report["warnings"])
+                if cmd == "oracle":
+                    # one of a fixed list of probes, which a change of scoring must not move
+                    entry["psi_star"] = report["psi_star"]
     return out
 
 
@@ -102,9 +109,9 @@ def compare(before: dict, after: dict) -> int:
         for x, y in zip([a["f_star"]] + a["restart_values"], [b["f_star"]] + b["restart_values"]):
             if relative(x, y) > worst:
                 worst, worst_key = relative(x, y), key
-        for field in ("restart_iterations", "warnings"):
-            if a[field] != b[field]:
-                changes.append(f"{key}: {field} {a[field]} -> {b[field]}")
+        for field in ("restart_iterations", "warnings", "psi_star"):
+            if a.get(field) != b.get(field):
+                changes.append(f"{key}: {field} {a.get(field)} -> {b.get(field)}")
     print(f"{len(before.keys() & after.keys())} solves compared; largest relative difference "
           f"{worst:.3e}" + (f" ({worst_key})" if worst_key else ""))
     for line in changes:

@@ -173,7 +173,7 @@ def _fixed_measurement_update(ch: QuantumChannel, h: HermitianOperator, povm: Po
     rows = _heisenberg_rows(ch, h, povm)
     n, d_in = len(povm.stack), ch.dim_in
 
-    def update(w, psi):
+    def update(psi):
         v = psi.amplitudes
         rho_in = v[..., :, None] * v[..., None, :].conj()
         pd = rho_in.reshape(v.shape[:-1] + (-1,)).view(float) @ rows.T

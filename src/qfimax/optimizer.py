@@ -27,6 +27,7 @@ from .operators import (
     _images,
     _kraus_gram,
     _wrap,
+    dagger,
     derivative_adjoint_apply,
     haar_state,
     hermitian_commutator,
@@ -34,7 +35,6 @@ from .operators import (
     hermitian_part,
     kraus_images,
     max_eigvec,
-    relative_asymmetry,
 )
 from .sld import _solve, is_irreducible, qfi_from_sld
 
@@ -134,19 +134,18 @@ def general_objective(
     return _checked_hermitian(out)
 
 
-def _lockstep(psi: PureState, ch: QuantumChannel, update, cfg: OptimizerConfig):
+def _lockstep(psi: PureState, update, cfg: OptimizerConfig):
     """One alternating step of each probe of the (b, dim_in) stack psi.
 
-    update(w, psi) takes w = kraus_images(ch, psi), the (b, r, dim_out)
-    stack of the columns of each W with rho = W W^dag, and returns, for
-    the best argument given each rho, the values f (b,), the objective
-    operators M they define as one stacked HermitianOperator or
-    FactoredOperator, and the rank deficits (b,), or None to leave them
-    to the kept trace (run_alternating); the next probes are the top
-    eigenvectors of M. Returns the next probes and the step's per-probe
-    arrays (f, degenerate, rank deficit or None)."""
-    w = kraus_images(ch, psi)
-    f, m, rank_deficit = update(w, psi)
+    update(psi) forms what it reads of the probes' outputs itself (the
+    channel routes their Kraus images) and returns, for the best argument
+    given each output, the values f (b,), the objective operators M they
+    define as one stacked HermitianOperator or FactoredOperator, and the
+    rank deficits (b,), or None to leave them to the kept trace
+    (run_alternating); the next probes are the top eigenvectors of M.
+    Returns the next probes and the step's per-probe arrays (f,
+    degenerate, rank deficit or None)."""
+    f, m, rank_deficit = update(psi)
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
     return psi_next, (f, degenerate, rank_deficit)
 
@@ -197,7 +196,7 @@ def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
     of the lockstep step of run_alternating. Returns the next probe and
     the record of step n."""
     psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
-    psi_next, arrays = _lockstep(psi, ch, _covariant_update(ch, h, cfg), cfg)
+    psi_next, arrays = _lockstep(psi, _covariant_update(ch, h, cfg), cfg)
     flags, _ = _kept_diagnostics(ch, [psi_n.amplitudes], h, cfg, ranks=False)
     return (_wrap(PureState, amplitudes=psi_next.amplitudes[0]),
             _record(n, psi_n.amplitudes, arrays, 0, flags[0], None))
@@ -230,7 +229,7 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     steps = []  # (active restarts, their probes, the step's arrays) per step
     values, iterations, converged = [0.0] * b, [0] * b, [False] * b
     for n in range(cfg.max_iters):
-        psi_next, arrays = _lockstep(psi, ch, update, cfg)
+        psi_next, arrays = _lockstep(psi, update, cfg)
         steps.append((active, psi, arrays))
         # the stopping rule on Python floats: cheaper than numpy on a few values
         f = arrays[0].tolist()
@@ -337,21 +336,38 @@ def _kraus_aligned(ch: QuantumChannel, dch: DerivativeChannel):
     return f, _derivative_channel(dch.stack[:, keep])
 
 
+def _residual_rhs(residual: DerivativeChannel, psi: PureState) -> np.ndarray:
+    """sum_p (A_p psi)(B_p psi)^dag, the residual map's output on each probe
+    of the stack psi, after a check that it is Hermitian: its asymmetry is
+    measured against sum_p |A_p psi| |B_p psi|, the size of its terms,
+    whose roundoff it carries. A finite difference's terms are of size
+    1/(2 delta), far above the output near an eigenvector of the generator."""
+    a, b = (_images(x, psi.amplitudes) for x in residual.stack)
+    rhs = a.swapaxes(-1, -2) @ b.conj()
+    scale = (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)).sum(axis=-1)
+    asym = np.abs(rhs - dagger(rhs)).max(axis=(-2, -1))
+    if np.any(asym > EPS_ADJOINT_HERM * np.maximum(1.0, scale)):
+        raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
+    return rhs
+
+
 def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = None,
             e: np.ndarray | None = None, residual: DerivativeChannel | None = None):
     """The update of every channel route: the solution L of (1/2){L, rho}
     = Lambda'(|psi><psi|) and M = -Lambda^dag(L^2) + 2 Lambda'^dag(L), for
     Lambda' = sum_k (F_k . K_k^dag + K_k . F_k^dag) + the residual map.
     The aligned part is F_k = A K_k (optimize's a alone) or F_k = E_k
-    (optimize_general's e and residual pairs, either None for none).
+    (optimize_general's e and residual pairs, either None for none). Each
+    call forms the probes' Kraus images W, rho = W W^dag, itself.
 
     The right-hand side is A rho + rho A^dag, taken in its blocks on the
     output's decomposition (sld._solve), or the formed R = sum_k z_k
     w_k^dag + h.c. of the images z_k = E_k psi plus the residual map's
-    output, whose Hermiticity is checked. M is the completed square
-    4 sum_k F_k^dag F_k - sum_k Y_k^dag Y_k, Y_k = (L - 2A) K_k or
-    L K_k - 2 E_k, plus 2 Lambda_res'^dag(L): the first term once per
-    solve, the second one Gram product per step, both exactly Hermitian.
+    output, whose Hermiticity is checked (_residual_rhs). M is the
+    completed square 4 sum_k F_k^dag F_k - sum_k Y_k^dag Y_k, Y_k =
+    (L - 2A) K_k or L K_k - 2 E_k, plus 2 Lambda_res'^dag(L): the first
+    term once per solve, the second one Gram product per step, both
+    exactly Hermitian.
     With no aligned part M is general_objective's sandwich form.
 
     With no residual pair, rho and the right-hand side live in Q =
@@ -372,12 +388,11 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
     elif f is not None:
         square = 4.0 * _kraus_gram(f)  # 4 sum_k F_k^dag F_k
 
-    def update(w, psi):
+    def update(psi):
+        w = kraus_images(ch, psi)
         rhs = None
         if residual is not None:
-            rhs = residual.apply(psi)
-            if np.max(relative_asymmetry(rhs)) > EPS_ADJOINT_HERM:
-                raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
+            rhs = _residual_rhs(residual, psi)
         z = None if e is None else _images(e, psi.amplitudes)
         if compress:
             fw = w @ a.T if z is None else z  # rows F_k psi

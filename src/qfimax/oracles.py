@@ -1,6 +1,7 @@
 """Independent ground-truth generators: brute-force pure-state search,
-pure-state closed forms, and the Gaussian-prior Bayesian Fisher information
-with its deterministic-prior limit.
+scored by the eigenbasis QFI formula or, for qubit outputs, by its Bloch
+closed form; pure-state closed forms; and the Gaussian-prior Bayesian Fisher
+information with its deterministic-prior limit.
 
 These deliberately avoid the alternating optimizer's code path so they can
 serve as cross-checks for it.
@@ -124,6 +125,35 @@ def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 2.0 * np.where(on, terms, 0.0).sum(axis=(1, 2)).reshape(rho.shape[:-2])
 
 
+def bloch_qfi(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """QFI of each qubit state rho = sum_k w_k w_k^dag of the (..., r, 2)
+    stack w of Kraus images (kraus_images' layout) for the 2 x 2 generator
+    matrix h, without an eigensolve: with rho = (t 1 + r.sigma)/2 and
+    H = h_0 1 + h.sigma, r.dr = 0 and F = 4 |h x r|^2 / t (Zhong et al.,
+    Phys. Rev. A 87, 022337 (2013)), eigenbasis_qfi's formula for d = 2,
+    read from rho_00, rho_11 and rho_01 formed elementwise.
+
+    Each state is checked as eigenbasis_qfi checks it, its spectrum on the
+    eigenvalues (t -+ |r|)/2 (W W^dag is positive but for roundoff); the
+    first that fails raises ValidationError with the SLD solver's message."""
+    w0, w1 = w[..., 0], w[..., 1]
+    p0 = (w0.real ** 2 + w0.imag ** 2).sum(axis=-1)
+    p1 = (w1.real ** 2 + w1.imag ** 2).sum(axis=-1)
+    c = (w0 * w1.conj()).sum(axis=-1)  # rho_01 = (r_x - i r_y) / 2
+    t = p0 + p1
+    rx, ry, rz = 2.0 * c.real, -2.0 * c.imag, p0 - p1
+    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
+    lam = np.stack((0.5 * (t - norm), 0.5 * (t + norm)), axis=-1)
+    bad = ~((np.abs(t - 1.0) <= EPS_TRACE) & (lam[..., 0] >= -EPS_PSD) & (lam[..., 1] > 0))
+    if bad.any():
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise_violations(density_violations(w[i].T @ w[i].conj()), "density matrix")
+        check_density_spectrum(lam[i])
+    hx, hy, hz = h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0].real - h[1, 1].real)
+    cx, cy, cz = hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx
+    return 4.0 * (cx * cx + cy * cy + cz * cz) / t
+
+
 def bloch_grid() -> np.ndarray:
     """The BLOCH_GRID_SHAPE polar x azimuthal grid of qubit states
     cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, polar angle slowest, as
@@ -134,30 +164,43 @@ def bloch_grid() -> np.ndarray:
     return np.stack((np.cos(theta), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(theta)), axis=1)
 
 
-def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
-                        n_samples: int = 10000, seed: int = 0):
-    """Max of QFI(Lambda(|psi><psi|)) over Haar samples; for qubits a
-    deterministic Bloch-sphere grid is searched first.
-
-    The probes are evaluated in blocks of outputs of at most
-    ORACLE_BLOCK_ENTRIES entries, by eigenbasis_qfi. The first probe
-    within EPS_TIE (relative) of the maximum is returned, with its value.
-    """
+def search_probes(dim_in: int, n_samples: int, seed: int) -> np.ndarray:
+    """The probes of brute_force_max_qfi, as the rows of an (n, dim_in)
+    array: for qubits the bloch_grid first, then n_samples Haar samples,
+    the stream of n_samples haar_state calls on default_rng(seed)."""
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
-    # one draw holds the same stream as n_samples calls of haar_state
-    z = np.random.default_rng(seed).standard_normal((n_samples, 2, ch.dim_in))
+    z = np.random.default_rng(seed).standard_normal((n_samples, 2, dim_in))
     z = z[:, 0] + 1j * z[:, 1]
     probes = z / np.linalg.norm(z, axis=1, keepdims=True)
-    if ch.dim_in == 2:
+    if dim_in == 2:
         probes = np.concatenate((bloch_grid(), probes))
+    return probes
+
+
+def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
+                        n_samples: int = 10000, seed: int = 0):
+    """Max of QFI(Lambda(|psi><psi|)) over the search_probes: Haar samples,
+    after a deterministic Bloch-sphere grid for qubit inputs.
+
+    The probes are evaluated in blocks of outputs of at most
+    ORACLE_BLOCK_ENTRIES entries. A qubit output is scored from its Kraus
+    images by the closed form bloch_qfi, with no eigensolve; a larger one
+    by eigenbasis_qfi on the output formed. The first probe within EPS_TIE
+    (relative) of the maximum is returned, with its value.
+    """
+    probes = search_probes(ch.dim_in, n_samples, seed)
     block = max(1, ORACLE_BLOCK_ENTRIES // ch.dim_out ** 2)
     values = np.empty(len(probes))
     for start in range(0, len(probes), block):
-        w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 1, 0)
-        rho = w @ w.conj().swapaxes(1, 2)
-        values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
-                                                     h.matrix)
+        w = np.matmul(ch.stack, probes[start:start + block].T)  # (r, dim_out, probes)
+        if ch.dim_out == 2:
+            values[start:start + block] = bloch_qfi(w.transpose(2, 0, 1), h.matrix)
+        else:
+            w = w.transpose(2, 1, 0)
+            rho = w @ w.conj().swapaxes(1, 2)
+            values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
+                                                         h.matrix)
     best = float(np.max(values))
     i = int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
     return float(values[i]), PureState(probes[i])

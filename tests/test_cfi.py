@@ -202,7 +202,7 @@ class TestHeisenbergStep:
         rng = np.random.default_rng(r)
         psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
         w = kraus_images(ch, psi)
-        f, m, deficits = cfi._fixed_measurement_update(ch, h, povm)(w, psi)
+        f, m, deficits = cfi._fixed_measurement_update(ch, h, povm)(psi)
         rho = mixture(w)
         stats = outcome_statistics(rho, h, povm)
         if r * d_in < d_out:

@@ -92,7 +92,7 @@ def assert_general_matches_dense(psi, ch, h, n_steps=4):
     degenerate."""
     dch = commuting_derivative(ch, h)
     one = _wrap(PureState, amplitudes=psi.amplitudes[None])
-    _, m, _ = optimizer._general_update(ch, dch, CFG)(kraus_images(ch, one), one)
+    _, m, _ = optimizer._general_update(ch, dch, CFG)(one)
     assert isinstance(m, FactoredOperator)
     cfg = OptimizerConfig(restarts=1, init_mode="user_supplied", initial_state=psi,
                           max_iters=n_steps, tol=1e-300)
@@ -407,7 +407,7 @@ class TestFormedObjective:
         ch, h = isometry_channel(d_out, d_in, r, rng), random_hermitian(d_out, rng)
         psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
         w = kraus_images(ch, psi)
-        f, m, _ = optimizer._covariant_update(ch, h, CFG)(w, psi)
+        f, m, _ = optimizer._covariant_update(ch, h, CFG)(psi)
         assert isinstance(m, HermitianOperator) and np.array_equal(m.matrix, dagger(m.matrix))
         res = sld(w, h, CFG.eps_rank)
         ref = channel_adjoint_apply(ch, objective_g(res.L, h)).matrix
@@ -430,6 +430,6 @@ class TestFormedObjective:
         w = kraus_images(ch, psi)
         np.testing.assert_allclose(np.linalg.svd(w[0], compute_uv=False), s, rtol=1e-9)
         h = random_hermitian(d, rng)
-        _, m, _ = optimizer._covariant_update(ch, h, CFG)(w, psi)
+        _, m, _ = optimizer._covariant_update(ch, h, CFG)(psi)
         ref = channel_adjoint_apply(ch, objective_g(sld(w, h, CFG.eps_rank).L, h)).matrix
         assert np.abs(m.matrix - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

@@ -257,9 +257,9 @@ class TestRestartTies:
     def _ending_at(values):
         """A stub update under which restart k holds f = values[k] from the
         first step on, so that every restart stops at the second."""
-        def update(w, psi):
-            m = hermitian_operator(np.broadcast_to(np.diag([0.0, 1.0]), (len(w), 2, 2)))
-            return np.array(values), m, np.zeros(len(w), dtype=int)
+        def update(psi):
+            m = hermitian_operator(np.broadcast_to(np.diag([0.0, 1.0]), (len(psi.amplitudes), 2, 2)))
+            return np.array(values), m, np.zeros(len(psi.amplitudes), dtype=int)
         return update
 
     @pytest.mark.parametrize("values, winner", [([1.0, 1.0 + 1e-15, 1.0 + 1e-9], 2),
@@ -344,12 +344,40 @@ class TestOptimizeGeneral:
                                   OptimizerConfig(restarts=1, max_iters=10, seed=0))
         assert result.f_star == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def _scaled_finite_difference(c):
+        """unitary_channel(c H0, 0) and its finite difference at step
+        1e-3 / c, whose pairs are of size c 500, and one restart from a probe
+        1e-7 off an eigenvector of H0, where the derivative's output is of
+        size c 1e-7."""
+        h = c * random_hermitian(4, np.random.default_rng(0)).matrix
+        v = np.linalg.eigh(h)[1]
+        psi = PureState((v[:, 0] + 1e-7 * v[:, 1]) / np.linalg.norm(v[:, 0] + 1e-7 * v[:, 1]))
+        fd = finite_difference_derivative(lambda phi: unitary_channel(h, phi), 0.0, 1e-3 / c)
+        cfg = OptimizerConfig(restarts=1, init_mode="user_supplied", initial_state=psi)
+        return unitary_channel(h, 0.0), fd, cfg
+
+    def test_finite_difference_near_an_eigenvector_at_scale(self):
+        # the output's Hermiticity is checked against the size of its terms,
+        # whose roundoff it carries, not against its own size
+        ch, fd, cfg = self._scaled_finite_difference(1.0)
+        ref = optimize_general(ch, fd, cfg).f_star
+        c = 1e7
+        ch, fd, cfg = self._scaled_finite_difference(c)
+        assert optimize_general(ch, fd, cfg).f_star / c ** 2 == pytest.approx(ref, rel=1e-9)
+
     def test_non_hermitian_derivative_output_rejected(self):
         # sigma -> A sigma B^dag is not Hermitian for a random pair A != B
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        with pytest.raises(NumericError, match="not Hermitian"):
+        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
             optimize_general(identity_channel(3), DerivativeChannel(((a, b),)), FAST)
+        # nor is the finite difference above with a phase of 1e-6 on one pair:
+        # an asymmetry far below the output's size there, far above roundoff
+        ch, fd, cfg = self._scaled_finite_difference(1e7)
+        (a0, b0), *rest = fd.terms
+        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
+            optimize_general(ch, DerivativeChannel((((1.0 + 1e-6j) * a0, b0), *rest)), cfg)
 
     def test_finite_difference_family_matches_oracle(self):
         base = dephasing_channel(0.8)
@@ -437,7 +465,7 @@ class TestKrausAlignedDerivative:
         psi = PureState(psi.amplitudes / np.linalg.norm(psi.amplitudes))
         w = kraus_images(ch, psi)
         for dch in (mixed, fd):
-            f, m, _ = _general_update(ch, dch, FAST)(w, psi)
+            f, m, _ = _general_update(ch, dch, FAST)(psi)
             ref = general_objective(solve_sld_rhs(w, hermitian_operator(dch.apply(psi))).L, ch, dch).matrix
             np.testing.assert_allclose(m.matrix, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
             assert f == pytest.approx(np.vdot(psi.amplitudes, ref @ psi.amplitudes).real, rel=1e-12)

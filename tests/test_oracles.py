@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,13 +30,16 @@ from qfimax import (
     unitary_channel,
 )
 from qfimax import oracles
-from qfimax.operators import SIGMA_Z, haar_state
-from qfimax.oracles import MAX_GRID_POINTS, eigenbasis_qfi
+from qfimax.operators import SIGMA_Z, _wrap, haar_state, kraus_images, mixture
+from qfimax.optimizer import EPS_TIE
+from qfimax.oracles import MAX_GRID_POINTS, bloch_grid, bloch_qfi, eigenbasis_qfi, search_probes
+from qfimax.problem import parse_problem
 
 from helpers import random_channel, random_density, random_hermitian, random_povm
 
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
 
 
 def sin_model(prior):
@@ -251,6 +256,26 @@ class TestGridAgainstLoops:
 # the eigenbasis QFI formula and the batched brute-force search
 
 
+def _qubit_cases():
+    """(name, Kraus images, generator): Haar probes through random qubit
+    channels of rank 1 to 4 and through a 3 -> 2 channel, pure outputs
+    and the maximally mixed output, all under an H with complex
+    off-diagonal entries and nonzero trace."""
+    rng = np.random.default_rng(41)
+    h = random_hermitian(2, rng).matrix + 0.7 * np.eye(2)
+    assert h[0, 1].imag != 0.0 and np.trace(h).real != 0.0
+    probes = _wrap(PureState, amplitudes=np.stack([haar_state(2, rng).amplitudes for _ in range(64)]))
+    cases = [(f"r={r}", kraus_images(random_channel(2, rng, n_kraus=r), probes), h)
+             for r in range(1, 5)]
+    q = np.linalg.qr(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))[0]
+    wide = QuantumChannel(tuple(q.reshape(2, 2, 3)))
+    cases.append(("3->2", kraus_images(wide, _wrap(PureState, amplitudes=np.stack(
+        [haar_state(3, rng).amplitudes for _ in range(64)]))), h))
+    cases.append(("pure", kraus_images(identity_channel(2), probes), h))
+    cases.append(("maximally mixed", np.tile(np.sqrt(0.5) * np.eye(2, dtype=complex), (4, 1, 1)), h))
+    return cases
+
+
 class TestEigenbasisQfi:
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(2, 8), rank=st.integers(1, 8), seed=st.integers(0, 2**31))
@@ -267,6 +292,18 @@ class TestEigenbasisQfi:
         psi, h = haar_state(dim, rng), random_hermitian(dim, rng)
         assert float(eigenbasis_qfi(psi.projector().matrix, h.matrix)) == \
             pytest.approx(pure_state_qfi(psi, h), rel=1e-10)
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_qubit_closed_form_matches(self, case):
+        name, w, h = _qubit_cases()[case]
+        ref = eigenbasis_qfi(mixture(w).matrix, h)
+        got = bloch_qfi(w, h)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), name
+        if name == "pure":
+            np.testing.assert_allclose(got, [pure_state_qfi(PureState(v), HermitianOperator(h))
+                                             for v in w[:, 0]], rtol=1e-12, atol=1e-14)
+        if name == "maximally mixed":
+            assert np.all(got == 0.0)
 
     @pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6])
     def test_eps_rank_boundary(self, side):
@@ -295,20 +332,28 @@ class TestEigenbasisQfi:
             eigenbasis_qfi(np.stack([good, 0.5 * good]), H_Z.matrix)
         with pytest.raises(ValidationError, match="density matrix positivity"):
             eigenbasis_qfi(np.stack([good, np.diag([1.5, -0.5])]), H_Z.matrix)
+        # the closed form reads Kraus images, whose W W^dag is positive by construction
+        w = np.stack((PLUS.amplitudes, np.zeros(2)))
+        with pytest.raises(ValidationError, match="density matrix unit trace"):
+            bloch_qfi(np.stack((w, np.sqrt(0.5) * w)), H_Z.matrix)
 
 
 class TestBatchedBruteForce:
     def test_matches_per_probe_loop(self):
-        # the probes are the stream of n_samples haar_state calls
-        rng = np.random.default_rng(21)
-        ch, h = random_channel(3, rng, n_kraus=2), random_hermitian(3, rng)
-        val, psi = brute_force_max_qfi(ch, h, n_samples=300, seed=4)
-        probe_rng = np.random.default_rng(4)
-        probes = [haar_state(3, probe_rng) for _ in range(300)]
-        values = [qfi(channel_apply(ch, p), h) for p in probes]
-        best = int(np.argmax(values))
-        assert val == pytest.approx(values[best], rel=1e-12)
-        np.testing.assert_allclose(psi.amplitudes, probes[best].amplitudes, rtol=0, atol=1e-15)
+        # the probes are the stream of n_samples haar_state calls, after
+        # the Bloch grid for a qubit; a qutrit and a qubit output
+        for dim in (3, 2):
+            rng = np.random.default_rng(21)
+            ch, h = random_channel(dim, rng, n_kraus=2), random_hermitian(dim, rng)
+            val, psi = brute_force_max_qfi(ch, h, n_samples=300, seed=4)
+            probe_rng = np.random.default_rng(4)
+            probes = [haar_state(dim, probe_rng) for _ in range(300)]
+            if dim == 2:
+                probes = [PureState(v) for v in bloch_grid()] + probes
+            values = [qfi(channel_apply(ch, p), h) for p in probes]
+            best = int(np.argmax(values))
+            assert val == pytest.approx(values[best], rel=1e-12)
+            np.testing.assert_allclose(psi.amplitudes, probes[best].amplitudes, rtol=0, atol=1e-15)
 
     def test_first_probe_on_a_degenerate_optimum(self):
         # every equator point of the grid is optimal: the first, |+>, is kept
@@ -317,19 +362,46 @@ class TestBatchedBruteForce:
         np.testing.assert_allclose(psi.amplitudes, PLUS.amplitudes, rtol=0, atol=1e-15)
 
     def test_blocks_are_bounded(self, monkeypatch):
-        shapes = []
+        # a qubit output is scored by the closed form alone, with no eigensolve
+        for dim, route, other in ((64, "eigenbasis_qfi", "bloch_qfi"), (2, "bloch_qfi", "eigenbasis_qfi")):
+            shapes = []
+            scorer = getattr(oracles, route)
 
-        def recorded(rho, h):
-            shapes.append(rho.shape)
-            return eigenbasis_qfi(rho, h)
+            def recorded(x, h):
+                shapes.append(x.shape)
+                return scorer(x, h)
 
-        monkeypatch.setattr(oracles, "eigenbasis_qfi", recorded)
-        rng = np.random.default_rng(22)
-        brute_force_max_qfi(random_channel(64, rng, n_kraus=1), random_hermitian(64, rng),
-                            n_samples=40, seed=0)
-        assert sum(s[0] for s in shapes) == 40
-        assert max(s[0] for s in shapes) * 64 * 64 <= oracles.ORACLE_BLOCK_ENTRIES
+            def unused(*args):
+                raise AssertionError(f"{other} or an eigensolve called on d_out = {dim}")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(oracles, route, recorded)
+                patch.setattr(oracles, other, unused)
+                if dim == 2:
+                    patch.setattr(np.linalg, "eigh", unused)
+                rng = np.random.default_rng(22)
+                brute_force_max_qfi(random_channel(dim, rng, n_kraus=1), random_hermitian(dim, rng),
+                                    n_samples=40, seed=0)
+            assert sum(s[0] for s in shapes) == len(search_probes(dim, 40, 0))
+            assert max(s[0] for s in shapes) * dim * dim <= oracles.ORACLE_BLOCK_ENTRIES
 
     def test_invalid_output_raises_the_solver_message(self):
-        with pytest.raises(ValidationError, match="density matrix unit trace"):
-            brute_force_max_qfi(QuantumChannel((0.5 * np.eye(2),)), H_Z, n_samples=5)
+        # the closed form's check (a qubit output) and eigenbasis_qfi's (a qutrit)
+        for dim in (2, 3):
+            with pytest.raises(ValidationError, match="density matrix unit trace"):
+                brute_force_max_qfi(QuantumChannel((0.5 * np.eye(dim),)),
+                                    random_hermitian(dim, np.random.default_rng(dim)), n_samples=5)
+
+    @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.name)
+    def test_bundled_problem_matches_an_eigenbasis_scan(self, path):
+        # the oracle command's search, against eigenbasis_qfi on every probe
+        problem = parse_problem(path.read_bytes())
+        ch, h, seed = problem.channel, problem.generator, problem.optimizer.seed
+        val, psi = brute_force_max_qfi(ch, h, n_samples=2000, seed=seed)
+        probes = search_probes(ch.dim_in, 2000, seed)
+        w = kraus_images(ch, _wrap(PureState, amplitudes=probes))
+        values = eigenbasis_qfi(mixture(w).matrix, h.matrix)
+        best = values.max()
+        i = int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
+        assert val == pytest.approx(values[i], rel=1e-12)
+        assert np.array_equal(psi.amplitudes, probes[i])
