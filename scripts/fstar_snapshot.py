@@ -6,17 +6,20 @@ every solve command (qfi-max, qfi-max-general, cfi-max) on every bundled
 problem in problems/ that supports it, and of every instance of the
 benchmark's converge sweep (bench/inputs.py) on each route, with the
 restarts and seed that the converge workload uses. It also holds f_star
-and psi_star of the oracle command on every bundled problem. --large-seed adds
-round 0 of the iterate-large workload for that benchmark seed. The library
-solved is the one in this checkout's src/.
+and psi_star of the oracle command on every bundled problem, and f_star,
+classical_fi and every bayes_sweep value of the bayes-check command on every
+bundled problem that supports it. --large-seed adds round 0 of the
+iterate-large workload for that benchmark seed. The library solved is the
+one in this checkout's src/.
 
---compare prints the largest relative difference of f_star and the restart
-values between two snapshots, and every change of an iteration count, a
-warning, an oracle's probe or the set of solves. It exits 1 if a value
-moved by more than 1e-12 (relative) or anything else changed, and 0
-otherwise. To compare another commit's library with this one, run this
-script from a copy placed in that commit's checkout, so that both
-snapshots hold the same set of solves.
+--compare prints the largest relative difference of f_star, the restart
+values and the bayes-check values between two snapshots, and every change
+of an iteration count, a warning, an oracle's probe, the widths of a
+bayes-check sweep or the set of solves. It exits 1 if a value moved by more
+than 1e-12 (relative) or anything else changed, and 0 otherwise. To compare
+another commit's library with this one, run this script from a copy placed
+in that commit's checkout, so that both snapshots hold the same set of
+solves.
 
 Usage:
     python scripts/fstar_snapshot.py --out after.json [--smoke] [--large-seed 1]
@@ -37,7 +40,7 @@ import workloads  # noqa: E402
 from qfimax.cli import REQUIRED_SECTIONS, run_command  # noqa: E402
 from qfimax.problem import parse_problem  # noqa: E402
 
-COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "oracle")
+COMMANDS = ("qfi-max", "qfi-max-general", "cfi-max", "oracle", "bayes-check")
 REL_TOL = 1e-12
 
 
@@ -61,6 +64,9 @@ def problem_solves() -> dict:
                 if cmd == "oracle":
                     # one of a fixed list of probes, which a change of scoring must not move
                     entry["psi_star"] = report["psi_star"]
+                if cmd == "bayes-check":
+                    entry["classical_fi"] = report["details"]["classical_fi"]
+                    entry["bayes_sweep"] = report["details"]["bayes_sweep"]
     return out
 
 
@@ -96,6 +102,12 @@ def relative(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
+def _values(entry: dict) -> list:
+    """Every value of an entry that --compare bounds by REL_TOL."""
+    bayes = [entry["classical_fi"], *entry["bayes_sweep"].values()] if "bayes_sweep" in entry else []
+    return [entry["f_star"]] + entry["restart_values"] + bayes
+
+
 def compare(before: dict, after: dict) -> int:
     changes, worst, worst_key = [], 0.0, None
     for key in sorted(before.keys() | after.keys()):
@@ -106,7 +118,11 @@ def compare(before: dict, after: dict) -> int:
         if len(a["restart_values"]) != len(b["restart_values"]):
             changes.append(f"{key}: {len(a['restart_values'])} restarts -> {len(b['restart_values'])}")
             continue
-        for x, y in zip([a["f_star"]] + a["restart_values"], [b["f_star"]] + b["restart_values"]):
+        if list(a.get("bayes_sweep", {})) != list(b.get("bayes_sweep", {})):
+            changes.append(f"{key}: bayes_sweep widths {list(a.get('bayes_sweep', {}))} -> "
+                           f"{list(b.get('bayes_sweep', {}))}")
+            continue
+        for x, y in zip(_values(a), _values(b)):
             if relative(x, y) > worst:
                 worst, worst_key = relative(x, y), key
         for field in ("restart_iterations", "warnings", "psi_star"):

@@ -150,7 +150,8 @@ def run_command(command: str, problem: ProblemFile) -> dict:
     # bayes-check
     bayes = problem.bayes or BayesSpec()
     sweep = {}
-    for delta in tuple(bayes.sweep) + (bayes.delta_prior,):
+    # each distinct width once, in first-listed order
+    for delta in dict.fromkeys(tuple(bayes.sweep) + (bayes.delta_prior,)):
         prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
         model = model_from_quantum(ch, h, psi, problem.povm, prior.grid())
         sweep[f"{delta:g}"] = bayes_gaussian_fi(model, prior)

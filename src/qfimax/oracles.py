@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,7 +39,7 @@ CONSISTENCY_TOL = 1e-6  # relative disagreement of the two Bayesian routes
 MAX_GRID_POINTS = 100001  # largest Bayesian parameter grid
 GRID_BLOCK = 1024  # grid points per product in model_from_quantum
 EPS_RANK = 1e-12  # eigenvalue pair sums at most this times the largest are left out
-ORACLE_BLOCK_ENTRIES = 1 << 12  # matrix entries per block of outputs in brute_force_max_qfi
+ORACLE_BLOCK_ENTRIES = 1 << 12  # entries per block of formed outputs (d_out > 2) in brute_force_max_qfi
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class DiscreteModel:
         probs = np.array(self.probs, dtype=float)
         if phis.ndim != 1 or probs.ndim != 2 or probs.shape[0] != len(phis):
             raise ValidationError("model needs one probability row per grid point")
-        row_sums = probs.sum(axis=1)
+        row_sums = probs @ np.ones(probs.shape[1])  # one product, not a loop per row
         if np.any(probs < -1e-10) or np.max(np.abs(row_sums - 1.0)) > 1e-10:
             raise ValidationError("model rows must be non-negative and sum to 1")
         phis.setflags(write=False)
@@ -126,9 +127,10 @@ def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def bloch_qfi(w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """QFI of each qubit state rho = sum_k w_k w_k^dag of the (..., r, 2)
-    stack w of Kraus images (kraus_images' layout) for the 2 x 2 generator
-    matrix h, without an eigensolve: with rho = (t 1 + r.sigma)/2 and
+    """QFI of each qubit state rho = sum_k w_k w_k^dag of the (r, 2, ...)
+    stack w of Kraus images, probes last (the layout of
+    np.matmul(ch.stack, probes.T)), for the 2 x 2 generator matrix h,
+    without an eigensolve: with rho = (t 1 + r.sigma)/2 and
     H = h_0 1 + h.sigma, r.dr = 0 and F = 4 |h x r|^2 / t (Zhong et al.,
     Phys. Rev. A 87, 022337 (2013)), eigenbasis_qfi's formula for d = 2,
     read from rho_00, rho_11 and rho_01 formed elementwise.
@@ -136,32 +138,36 @@ def bloch_qfi(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     Each state is checked as eigenbasis_qfi checks it, its spectrum on the
     eigenvalues (t -+ |r|)/2 (W W^dag is positive but for roundoff); the
     first that fails raises ValidationError with the SLD solver's message."""
-    w0, w1 = w[..., 0], w[..., 1]
-    p0 = (w0.real ** 2 + w0.imag ** 2).sum(axis=-1)
-    p1 = (w1.real ** 2 + w1.imag ** 2).sum(axis=-1)
-    c = (w0 * w1.conj()).sum(axis=-1)  # rho_01 = (r_x - i r_y) / 2
+    w0, w1 = w[:, 0], w[:, 1]
+    p0 = (w0.real ** 2 + w0.imag ** 2).sum(axis=0)
+    p1 = (w1.real ** 2 + w1.imag ** 2).sum(axis=0)
+    c = (w0 * w1.conj()).sum(axis=0)  # rho_01 = (r_x - i r_y) / 2
     t = p0 + p1
     rx, ry, rz = 2.0 * c.real, -2.0 * c.imag, p0 - p1
     norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    lam = np.stack((0.5 * (t - norm), 0.5 * (t + norm)), axis=-1)
-    bad = ~((np.abs(t - 1.0) <= EPS_TRACE) & (lam[..., 0] >= -EPS_PSD) & (lam[..., 1] > 0))
+    low, high = 0.5 * (t - norm), 0.5 * (t + norm)
+    bad = ~((np.abs(t - 1.0) <= EPS_TRACE) & (low >= -EPS_PSD) & (high > 0))
     if bad.any():
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise_violations(density_violations(w[i].T @ w[i].conj()), "density matrix")
-        check_density_spectrum(lam[i])
+        wi = w[(Ellipsis,) + i]
+        raise_violations(density_violations(wi.T @ wi.conj()), "density matrix")
+        check_density_spectrum(np.array([low[i], high[i]]))
     hx, hy, hz = h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0].real - h[1, 1].real)
     cx, cy, cz = hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx
     return 4.0 * (cx * cx + cy * cy + cz * cz) / t
 
 
+@cache
 def bloch_grid() -> np.ndarray:
     """The BLOCH_GRID_SHAPE polar x azimuthal grid of qubit states
     cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, polar angle slowest, as
-    the rows of an (n, 2) array."""
+    the rows of an (n, 2) array, built once and read-only."""
     n_theta, n_phi = BLOCH_GRID_SHAPE
     theta = np.repeat(np.linspace(0.0, math.pi, n_theta), n_phi) / 2.0
     phi = np.tile(np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False), n_theta)
-    return np.stack((np.cos(theta), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(theta)), axis=1)
+    grid = np.stack((np.cos(theta), (np.cos(phi) + 1j * np.sin(phi)) * np.sin(theta)), axis=1)
+    grid.setflags(write=False)
+    return grid
 
 
 def search_probes(dim_in: int, n_samples: int, seed: int) -> np.ndarray:
@@ -183,21 +189,20 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
     """Max of QFI(Lambda(|psi><psi|)) over the search_probes: Haar samples,
     after a deterministic Bloch-sphere grid for qubit inputs.
 
-    The probes are evaluated in blocks of outputs of at most
-    ORACLE_BLOCK_ENTRIES entries. A qubit output is scored from its Kraus
-    images by the closed form bloch_qfi, with no eigensolve; a larger one
-    by eigenbasis_qfi on the output formed. The first probe within EPS_TIE
-    (relative) of the maximum is returned, with its value.
+    A qubit output is scored from the Kraus images of all probes at once
+    by the closed form bloch_qfi, with no eigensolve and no output formed.
+    A larger output is formed and scored by eigenbasis_qfi, in blocks of
+    outputs of at most ORACLE_BLOCK_ENTRIES entries. The first probe within
+    EPS_TIE (relative) of the maximum is returned, with its value.
     """
     probes = search_probes(ch.dim_in, n_samples, seed)
-    block = max(1, ORACLE_BLOCK_ENTRIES // ch.dim_out ** 2)
-    values = np.empty(len(probes))
-    for start in range(0, len(probes), block):
-        w = np.matmul(ch.stack, probes[start:start + block].T)  # (r, dim_out, probes)
-        if ch.dim_out == 2:
-            values[start:start + block] = bloch_qfi(w.transpose(2, 0, 1), h.matrix)
-        else:
-            w = w.transpose(2, 1, 0)
+    if ch.dim_out == 2:
+        values = bloch_qfi(np.matmul(ch.stack, probes.T), h.matrix)
+    else:
+        block = max(1, ORACLE_BLOCK_ENTRIES // ch.dim_out ** 2)
+        values = np.empty(len(probes))
+        for start in range(0, len(probes), block):
+            w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 1, 0)
             rho = w @ w.conj().swapaxes(1, 2)
             values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
                                                          h.matrix)
@@ -212,18 +217,26 @@ def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
 
     In the eigenbasis of H, with eigenvalues lam, this is
     Re sum_ab exp(-i phi (lam_a - lam_b)) C_x[a, b] with C_x[a, b] =
-    rho_ab (Pi_x)_ba: one product per block of GRID_BLOCK grid points.
+    rho_ab (Pi_x)_ba. Since C_x[b, a] = conj C_x[a, b], it is
+    sum_a Re C_x[a, a] plus, over the pairs a < b,
+    2 (cos(phi g) Re C_x[a, b] + sin(phi g) Im C_x[a, b]) with
+    g = lam_a - lam_b: d(d-1)/2 angles per grid point, and two products
+    per block of GRID_BLOCK grid points.
     """
     rho = channel_apply(ch, psi).matrix
     lam, v = h.eig.eigenvalues, h.eig.eigenvectors
     vd = dagger(v)
-    c = ((vd @ rho @ v) * (vd @ povm.stack @ v).swapaxes(1, 2)).reshape(len(povm.stack), -1)
-    gaps = np.subtract.outer(lam, lam).ravel()
+    c = (vd @ rho @ v) * (vd @ povm.stack @ v).swapaxes(1, 2)
+    a, b = np.triu_indices(len(lam), 1)
+    diagonal = np.trace(c, axis1=1, axis2=2).real
+    pairs = 2.0 * c[:, a, b].T  # (pairs, outcomes)
+    gaps = lam[a] - lam[b]
     phis = np.asarray(phis, dtype=float)
     probs = np.empty((len(phis), len(c)))
     for start in range(0, len(phis), GRID_BLOCK):
-        block = phis[start:start + GRID_BLOCK]
-        probs[start:start + GRID_BLOCK] = (np.exp(-1j * np.outer(block, gaps)) @ c.T).real
+        angle = np.outer(phis[start:start + GRID_BLOCK], gaps)
+        probs[start:start + GRID_BLOCK] = (np.cos(angle) @ pairs.real + np.sin(angle) @ pairs.imag
+                                           + diagonal)
     return DiscreteModel(phis, probs)
 
 
@@ -240,17 +253,18 @@ def _prior_on_grid(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
 
 
 def _smoothed(model: DiscreteModel, prior: GaussianPrior):
-    """The prior on the grid, as a column, and the smoothed outcome
-    probabilities int g(phi) p_phi(x) dphi, by trapezoidal quadrature."""
+    """The prior on the grid, as a column, the smoothed outcome
+    probabilities int g(phi) p_phi(x) dphi and the conditional-mean
+    estimator per outcome, by trapezoidal quadrature."""
     g = _prior_on_grid(model, prior)[:, None]
-    return g, np.trapezoid(g * model.probs, model.phis, axis=0)
+    denom = np.trapezoid(g * model.probs, model.phis, axis=0)
+    num = np.trapezoid(g * model.probs * model.phis[:, None], model.phis, axis=0)
+    return g, denom, np.divide(num, denom, out=np.zeros_like(denom), where=denom >= 1e-300)
 
 
 def bayes_best_estimator(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
     """Conditional-mean estimator per outcome, by trapezoidal quadrature."""
-    g, denom = _smoothed(model, prior)
-    num = np.trapezoid(g * model.probs * model.phis[:, None], model.phis, axis=0)
-    return np.divide(num, denom, out=np.zeros_like(denom), where=denom >= 1e-300)
+    return _smoothed(model, prior)[2]
 
 
 def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:
@@ -260,9 +274,8 @@ def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:
     independently, from the best-estimator variance identity; a mismatch
     beyond CONSISTENCY_TOL flags quadrature inadequacy.
     """
-    g, denom = _smoothed(model, prior)
+    g, denom, est = _smoothed(model, prior)
     num = np.trapezoid(g * np.gradient(model.probs, model.phis, axis=0), model.phis, axis=0)
-    est = bayes_best_estimator(model, prior)
     on = denom >= 1e-300
     direct = float(np.sum(num[on] ** 2 / denom[on]))
     via_estimator = float(np.sum(denom[on] * (est[on] / prior.delta_prior ** 2) ** 2))

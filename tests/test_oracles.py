@@ -212,8 +212,9 @@ def _loop_bayes(model, prior):
 
 
 def _grid_cases():
-    """(channel, generator, input, POVM): n != d both ways, n = 1, and an
-    outcome of zero probability on the whole grid (a zero element)."""
+    """(channel, generator, input, POVM): n != d both ways, n = 1, an
+    outcome of zero probability on the whole grid (a zero element), and a
+    generator with a repeated eigenvalue, whose pair a < b has gap 0."""
     rng = np.random.default_rng(17)
     cases = []
     for d, n in ((3, 5), (4, 2)):
@@ -223,11 +224,14 @@ def _grid_cases():
     povm = random_povm(3, rng, 3)
     cases.append((random_channel(3, rng), random_hermitian(3, rng), haar_state(3, rng),
                   Povm(povm.elements + (np.zeros((3, 3)),))))
+    repeated = HermitianOperator(np.diag([1.0, -0.5, 1.0, 0.25]))
+    assert np.any(np.diff(repeated.eig.eigenvalues) == 0.0)
+    cases.append((random_channel(4, rng, 3), repeated, haar_state(4, rng), random_povm(4, rng, 3)))
     return cases
 
 
 class TestGridAgainstLoops:
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(5))
     def test_model_from_quantum(self, case):
         ch, h, psi, povm = _grid_cases()[case]
         # more points than one block, and a partial last block
@@ -236,7 +240,7 @@ class TestGridAgainstLoops:
         np.testing.assert_allclose(model.probs, _loop_model(ch, h, psi, povm, phis),
                                    rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(5))
     def test_bayes_estimator_and_fisher_information(self, case):
         ch, h, psi, povm = _grid_cases()[case]
         prior = GaussianPrior(0.05, grid_points=2001)
@@ -297,7 +301,7 @@ class TestEigenbasisQfi:
     def test_qubit_closed_form_matches(self, case):
         name, w, h = _qubit_cases()[case]
         ref = eigenbasis_qfi(mixture(w).matrix, h)
-        got = bloch_qfi(w, h)
+        got = bloch_qfi(w.transpose(1, 2, 0), h)  # the closed form reads probes last
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), name
         if name == "pure":
             np.testing.assert_allclose(got, [pure_state_qfi(PureState(v), HermitianOperator(h))
@@ -335,7 +339,7 @@ class TestEigenbasisQfi:
         # the closed form reads Kraus images, whose W W^dag is positive by construction
         w = np.stack((PLUS.amplitudes, np.zeros(2)))
         with pytest.raises(ValidationError, match="density matrix unit trace"):
-            bloch_qfi(np.stack((w, np.sqrt(0.5) * w)), H_Z.matrix)
+            bloch_qfi(np.stack((w, np.sqrt(0.5) * w), axis=-1), H_Z.matrix)
 
 
 class TestBatchedBruteForce:
@@ -362,8 +366,10 @@ class TestBatchedBruteForce:
         np.testing.assert_allclose(psi.amplitudes, PLUS.amplitudes, rtol=0, atol=1e-15)
 
     def test_blocks_are_bounded(self, monkeypatch):
-        # a qubit output is scored by the closed form alone, with no eigensolve
-        for dim, route, other in ((64, "eigenbasis_qfi", "bloch_qfi"), (2, "bloch_qfi", "eigenbasis_qfi")):
+        # a d = 64 output is formed in blocks of at most ORACLE_BLOCK_ENTRIES
+        # entries; a qubit output is scored by one closed-form pass over all
+        # probes, with no eigensolve
+        def scored_shapes(dim, route, other):
             shapes = []
             scorer = getattr(oracles, route)
 
@@ -382,8 +388,19 @@ class TestBatchedBruteForce:
                 rng = np.random.default_rng(22)
                 brute_force_max_qfi(random_channel(dim, rng, n_kraus=1), random_hermitian(dim, rng),
                                     n_samples=40, seed=0)
-            assert sum(s[0] for s in shapes) == len(search_probes(dim, 40, 0))
-            assert max(s[0] for s in shapes) * dim * dim <= oracles.ORACLE_BLOCK_ENTRIES
+            return shapes
+
+        shapes = scored_shapes(64, "eigenbasis_qfi", "bloch_qfi")
+        assert sum(s[0] for s in shapes) == len(search_probes(64, 40, 0))
+        assert max(s[0] for s in shapes) * 64 * 64 <= oracles.ORACLE_BLOCK_ENTRIES
+        assert scored_shapes(2, "bloch_qfi", "eigenbasis_qfi") == [(1, 2, len(search_probes(2, 40, 0)))]
+
+    def test_bloch_grid_is_built_once(self):
+        grid = bloch_grid()
+        assert bloch_grid() is grid
+        assert grid.shape == (45 * 80, 2) and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
 
     def test_invalid_output_raises_the_solver_message(self):
         # the closed form's check (a qubit output) and eigenbasis_qfi's (a qutrit)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,7 +14,7 @@ from qfimax import cli
 from qfimax.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, run_command
 from qfimax.cfi import classical_fi, outcome_statistics
 from qfimax.operators import channel_apply
-from qfimax.oracles import brute_force_max_qfi
+from qfimax.oracles import GaussianPrior, bayes_gaussian_fi, brute_force_max_qfi, model_from_quantum
 from qfimax.problem import emit_problem, encode_array
 from qfimax.sld import qfi
 
@@ -484,3 +485,25 @@ class TestBundledProblems:
         values = [sweep[f"{d:g}"] for d in pf.bayes.sweep]
         assert values == sorted(values)
         assert report["f_star"] == pytest.approx(report["details"]["classical_fi"], abs=1e-3)
+
+    def test_bayes_check_tabulates_each_width_once(self, monkeypatch):
+        # the prior's width listed in the sweep too: four distinct widths of five
+        pf = parse_problem((PROBLEMS / "bayes_qubit.json").read_text())
+        bayes = dataclasses.replace(pf.bayes, sweep=(0.3, pf.bayes.delta_prior, 0.1, 0.03))
+        pf = dataclasses.replace(pf, bayes=bayes)
+        widths = []
+
+        def counted(ch, h, psi, povm, phis):
+            widths.append(float(phis[-1]))
+            return model_from_quantum(ch, h, psi, povm, phis)
+
+        monkeypatch.setattr(cli, "model_from_quantum", counted)
+        report = run_command("bayes-check", pf)
+        assert len(widths) == len(set(widths)) == 4
+        expected = {}
+        for delta in bayes.sweep:
+            prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
+            model = model_from_quantum(pf.channel, pf.generator, pf.input_state, pf.povm, prior.grid())
+            expected[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
+        assert list(report["details"]["bayes_sweep"].items()) == list(expected.items())
+        assert report["f_star"] == expected[f"{bayes.delta_prior:g}"]
