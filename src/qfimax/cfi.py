@@ -79,7 +79,7 @@ def _check_sums(probs: np.ndarray, dprobs: np.ndarray) -> None:
     scale = np.maximum(1.0, np.abs(dprobs).sum(axis=-1))
     for sums, target, tol, what in ((probs.sum(axis=-1), 1.0, 1e-8, "probabilities"),
                                     (dprobs.sum(axis=-1), 0.0, 1e-8 * scale, "probability derivatives")):
-        bad = np.atleast_1d(np.abs(sums - target) > tol)
+        bad = np.atleast_1d(~(np.abs(sums - target) <= tol))  # a NaN sum is bad
         if bad.any():
             raise ValidationError(f"{what} sum to {np.atleast_1d(sums)[bad][0]}, not {target:g}")
 

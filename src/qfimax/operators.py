@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericError, ValidationError
 
-# Tolerances of the checks below.
+# Tolerances of the checks below, then the solvers' default cuts.
 EPS_HERM = 1e-12
 EPS_PSD = 1e-10
 EPS_TP = 1e-10
@@ -28,6 +28,8 @@ EPS_TRACE = 1e-12
 EPS_NORM = 1e-12
 EPS_DERIVATIVE = 1e-10  # both residuals of a derivative map
 EPS_ADJOINT_HERM = 1e-8  # relative asymmetry of a derivative map's adjoint
+EPS_RANK = 1e-12  # eigenvalues (and pair sums) at most this times the largest are off rho's support
+EPS_DEG = 1e-9  # eigenvalues closer than this are degenerate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -419,8 +421,10 @@ def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> Hermitian
 def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> HermitianOperator:
     """Adjoint action A -> sum_k A_k^dag A B_k, Hermitized.
 
-    The raw adjoint of a genuine channel-family derivative is Hermitian up
-    to roundoff; an asymmetry beyond EPS_ADJOINT_HERM signals a bad pair list.
+    The raw adjoint X of a genuine channel-family derivative is Hermitian
+    up to roundoff; a relative asymmetry max |X - X^dag| / max(1, max |X|)
+    (the largest over a stack) beyond EPS_ADJOINT_HERM signals a bad pair
+    list.
     """
     if dch.dim_out != a.dim:
         raise DimensionMismatch(
@@ -428,17 +432,11 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
         )
     # the dagger of the sum has the same asymmetry and Hermitian part
     out = _adjoint_sandwich(dch.stack[0], a.matrix, dch.stack[1])
-    asym = np.max(relative_asymmetry(out))
-    if asym > EPS_ADJOINT_HERM:
+    size = np.maximum(1.0, np.abs(out).max(axis=(-2, -1)))
+    asym = np.max(np.abs(out - dagger(out)).max(axis=(-2, -1)) / size)
+    if not asym <= EPS_ADJOINT_HERM:  # a NaN asymmetry fails
         raise NumericError(f"derivative adjoint is non-Hermitian (relative asymmetry {asym:.3e})")
     return hermitian_operator(out)
-
-
-def relative_asymmetry(a: np.ndarray) -> np.ndarray:
-    """max |a - a^dag| / max(1, max |a|) of a matrix, or of each matrix of
-    a stack."""
-    axes = (-2, -1)
-    return np.abs(a - dagger(a)).max(axis=axes) / np.maximum(1.0, np.abs(a).max(axis=axes))
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -486,7 +484,7 @@ def eigenspace_groups(eig: EigenDecomposition, eps: float):
     return starts, eig.eigenvectors.conj(), np.triu(np.ones((len(lam), len(lam)), dtype=bool), 1)
 
 
-def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = 1e-9):
+def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = EPS_DEG):
     """Top eigenvector and a flag for a (near-)degenerate top eigenvalue;
     for an operator with a leading batch axis, a stack of them and an
     array of flags, one per operator.
@@ -596,7 +594,7 @@ def density_violations(m: np.ndarray) -> list:
 def trace_violations(t: np.ndarray) -> list:
     """The unit-trace violation of density matrices with traces t, the
     largest over a stack."""
-    r = float((abs(t.real - 1.0) + abs(t.imag)).max())
+    r = float((abs(t.real - 1.0) + abs(t.imag)).max(initial=0.0))
     return [] if r <= EPS_TRACE else [Violation("density matrix unit trace", r)]
 
 
@@ -604,10 +602,10 @@ def check_density_spectrum(lam: np.ndarray) -> None:
     """Raise ValidationError unless the ascending eigenvalues lam of a
     density matrix (each row of lam, for a stack) are all at least -EPS_PSD
     and the largest is positive."""
-    low = lam[..., 0].min()
+    low = lam[..., 0].min(initial=0.0)  # the initial values pass an empty stack
     if not low >= -EPS_PSD:
         raise_violations([Violation("density matrix positivity", -float(low))], "density matrix")
-    if not lam[..., -1].min() > 0.0:
+    if not lam[..., -1].min(initial=np.inf) > 0.0:
         raise ValidationError("density matrix has no positive eigenvalue")
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DimensionMismatch, NumericError, ValidationError
 from .operators import (
     EPS_ADJOINT_HERM,
+    EPS_DEG,
+    EPS_RANK,
     DerivativeChannel,
     FactoredOperator,
     HermitianOperator,
@@ -39,17 +41,24 @@ from .operators import (
 from .sld import _solve, is_irreducible, qfi_from_sld
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
-EPS_TIE = 1e-13  # restarts this close (relative) to the best tie; the lowest index wins
+EPS_TIE = 1e-13  # values this close (relative) to the best tie; the lowest index wins (best_index)
 COMPRESS_MIN_DIM = 24  # smallest output dimension at which a step is compressed (_update)
 FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibility test
+
+
+def best_index(values) -> int:
+    """The lowest index of values within EPS_TIE * max(1, |max|) of their maximum."""
+    values = np.asarray(values, dtype=float)
+    best = values.max()
+    return int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     tol: float = 1e-10
     max_iters: int = 1000
-    eps_rank: float = 1e-12
-    eps_deg: float = 1e-9
+    eps_rank: float = EPS_RANK
+    eps_deg: float = EPS_DEG
     restarts: int = 8
     seed: int = 12345
     init_mode: str = "random_haar"
@@ -218,10 +227,10 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     The restarts run in lockstep, as one stack of probes, so that each
     step is one batched call per operation for all of them. A restart
     leaves the stack once the objective changes by at most tol, or after
-    max_iters steps. The kept restart is the best, the lowest index among
-    those within EPS_TIE of it. Reducibility is tested only against a
-    generator h, and only on the kept restart's probes, once it is known;
-    so are the rank deficits, for an update that leaves them (None)."""
+    max_iters steps. The kept restart is the best (best_index).
+    Reducibility is tested only against a generator h, and only on the
+    kept restart's probes, once it is known; so are the rank deficits, for
+    an update that leaves them (None)."""
     b = cfg.restarts
     psi = _wrap(PureState, amplitudes=np.stack(
         [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
@@ -247,10 +256,7 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
             f = [x for x, go in zip(f, keep) if go]
             psi_next = _wrap(PureState, amplitudes=psi_next.amplitudes[keep])
         psi, f_prev = psi_next, f
-    best = 0
-    for k in range(1, b):
-        if values[k] > values[best] + EPS_TIE * max(1.0, abs(values[best])):
-            best = k
+    best = best_index(values)
     kept = [(ids.index(best), p, arrays) for ids, p, arrays in steps[:iterations[best]]]
     ranks = steps[0][2][2] is None  # the update left the rank deficits to the kept trace
     flags, deficits = _kept_diagnostics(ch, [p.amplitudes[j] for j, p, _ in kept], h, cfg, ranks)
@@ -346,7 +352,7 @@ def _residual_rhs(residual: DerivativeChannel, psi: PureState) -> np.ndarray:
     rhs = a.swapaxes(-1, -2) @ b.conj()
     scale = (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)).sum(axis=-1)
     asym = np.abs(rhs - dagger(rhs)).max(axis=(-2, -1))
-    if np.any(asym > EPS_ADJOINT_HERM * np.maximum(1.0, scale)):
+    if not np.all(asym <= EPS_ADJOINT_HERM * np.maximum(1.0, scale)):  # a NaN asymmetry fails
         raise NumericError("derivative channel output is not Hermitian on a Hermitian input")
     return rhs
 

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .operators import (
-    EPS_HERM,
-    EPS_PSD,
-    EPS_TRACE,
+    EPS_RANK,
     HermitianOperator,
     Povm,
     PureState,
@@ -29,8 +27,9 @@ from .operators import (
     dagger,
     density_violations,
     raise_violations,
+    trace_violations,
 )
-from .optimizer import EPS_TIE
+from .optimizer import best_index
 
 # 45 x 80 polar/azimuthal qubit grid; the odd polar count puts the equator
 # (where covariant-phase optima live) exactly on the grid
@@ -38,7 +37,6 @@ BLOCH_GRID_SHAPE = (45, 80)
 CONSISTENCY_TOL = 1e-6  # relative disagreement of the two Bayesian routes
 MAX_GRID_POINTS = 100001  # largest Bayesian parameter grid
 GRID_BLOCK = 1024  # grid points per product in model_from_quantum
-EPS_RANK = 1e-12  # eigenvalue pair sums at most this times the largest are left out
 ORACLE_BLOCK_ENTRIES = 1 << 12  # entries per block of formed outputs (d_out > 2) in brute_force_max_qfi
 
 
@@ -54,8 +52,10 @@ class DiscreteModel:
         probs = np.array(self.probs, dtype=float)
         if phis.ndim != 1 or probs.ndim != 2 or probs.shape[0] != len(phis):
             raise ValidationError("model needs one probability row per grid point")
+        if not np.all(np.isfinite(phis)):
+            raise ValidationError("model grid points must be finite")
         row_sums = probs @ np.ones(probs.shape[1])  # one product, not a loop per row
-        if np.any(probs < -1e-10) or np.max(np.abs(row_sums - 1.0)) > 1e-10:
+        if not (np.all(probs >= -1e-10) and np.max(np.abs(row_sums - 1.0)) <= 1e-10):  # NaN fails
             raise ValidationError("model rows must be non-negative and sum to 1")
         phis.setflags(write=False)
         probs.setflags(write=False)
@@ -105,20 +105,15 @@ def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     summed over the pairs with l_i + l_j > EPS_RANK * l_max, which are the
     pairs outside the SLD solver's null block at its default eps_rank.
 
-    Each matrix is checked as a density matrix, as the SLD solver does;
-    the first that fails raises ValidationError with the solver's message.
+    The stack is checked as a density matrix by the SLD solver's checks;
+    a failure raises ValidationError with the solver's message and the
+    worst residual over the stack.
     """
     rho = np.asarray(rho)
     flat = rho.reshape((-1,) + rho.shape[-2:])
-    herm = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
-    tr = np.trace(flat, axis1=1, axis2=2)
-    trace = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    raise_violations(density_violations(flat), "density matrix")
     lam, v = np.linalg.eigh(flat)
-    bad = ~((herm <= EPS_HERM) & (trace <= EPS_TRACE) & (lam[:, 0] >= -EPS_PSD) & (lam[:, -1] > 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise_violations(density_violations(flat[i]), "density matrix")
-        check_density_spectrum(lam[i])
+    check_density_spectrum(lam)
     hv = v.conj().swapaxes(1, 2) @ h @ v
     pair = lam[:, :, None] + lam[:, None, :]
     on = pair > EPS_RANK * lam[:, -1:, None]
@@ -135,23 +130,19 @@ def bloch_qfi(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     Phys. Rev. A 87, 022337 (2013)), eigenbasis_qfi's formula for d = 2,
     read from rho_00, rho_11 and rho_01 formed elementwise.
 
-    Each state is checked as eigenbasis_qfi checks it, its spectrum on the
-    eigenvalues (t -+ |r|)/2 (W W^dag is positive but for roundoff); the
-    first that fails raises ValidationError with the SLD solver's message."""
+    The stack is checked as eigenbasis_qfi checks it, but for the
+    Hermiticity that W W^dag has by construction, the spectrum on the
+    eigenvalues (t -+ |r|)/2; a failure raises ValidationError with the
+    SLD solver's message and the worst residual over the stack."""
     w0, w1 = w[:, 0], w[:, 1]
     p0 = (w0.real ** 2 + w0.imag ** 2).sum(axis=0)
     p1 = (w1.real ** 2 + w1.imag ** 2).sum(axis=0)
     c = (w0 * w1.conj()).sum(axis=0)  # rho_01 = (r_x - i r_y) / 2
     t = p0 + p1
     rx, ry, rz = 2.0 * c.real, -2.0 * c.imag, p0 - p1
+    raise_violations(trace_violations(t), "density matrix")
     norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    low, high = 0.5 * (t - norm), 0.5 * (t + norm)
-    bad = ~((np.abs(t - 1.0) <= EPS_TRACE) & (low >= -EPS_PSD) & (high > 0))
-    if bad.any():
-        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        wi = w[(Ellipsis,) + i]
-        raise_violations(density_violations(wi.T @ wi.conj()), "density matrix")
-        check_density_spectrum(np.array([low[i], high[i]]))
+    check_density_spectrum(0.5 * np.stack((t - norm, t + norm), axis=-1))
     hx, hy, hz = h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0].real - h[1, 1].real)
     cx, cy, cz = hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx
     return 4.0 * (cx * cx + cy * cy + cz * cz) / t
@@ -192,8 +183,8 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
     A qubit output is scored from the Kraus images of all probes at once
     by the closed form bloch_qfi, with no eigensolve and no output formed.
     A larger output is formed and scored by eigenbasis_qfi, in blocks of
-    outputs of at most ORACLE_BLOCK_ENTRIES entries. The first probe within
-    EPS_TIE (relative) of the maximum is returned, with its value.
+    outputs of at most ORACLE_BLOCK_ENTRIES entries. The best probe
+    (best_index) is returned, with its value.
     """
     probes = search_probes(ch.dim_in, n_samples, seed)
     if ch.dim_out == 2:
@@ -206,8 +197,7 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
             rho = w @ w.conj().swapaxes(1, 2)
             values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
                                                          h.matrix)
-    best = float(np.max(values))
-    i = int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
+    i = best_index(values)
     return float(values[i]), PureState(probes[i])
 
 
@@ -240,25 +230,20 @@ def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
     return DiscreteModel(phis, probs)
 
 
-def _prior_on_grid(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
+def _smoothed(model: DiscreteModel, prior: GaussianPrior):
+    """The prior on the grid, as a column, the smoothed outcome
+    probabilities int g(phi) p_phi(x) dphi and the conditional-mean
+    estimator per outcome, by trapezoidal quadrature, once the grid is
+    checked to leave at most 1e-8 of the prior's mass uncovered."""
     phis = model.phis
     lo, hi = float(phis[0]), float(phis[-1])
     s = prior.delta_prior * math.sqrt(2.0)
     tail_mass = 0.5 * math.erfc(hi / s) + 0.5 * math.erfc(-lo / s)
     if tail_mass > 1e-8:
-        raise ValidationError(
-            f"model grid [{lo:g}, {hi:g}] leaves prior mass {tail_mass:.3e} uncovered"
-        )
-    return prior.pdf(phis)
-
-
-def _smoothed(model: DiscreteModel, prior: GaussianPrior):
-    """The prior on the grid, as a column, the smoothed outcome
-    probabilities int g(phi) p_phi(x) dphi and the conditional-mean
-    estimator per outcome, by trapezoidal quadrature."""
-    g = _prior_on_grid(model, prior)[:, None]
-    denom = np.trapezoid(g * model.probs, model.phis, axis=0)
-    num = np.trapezoid(g * model.probs * model.phis[:, None], model.phis, axis=0)
+        raise ValidationError(f"model grid [{lo:g}, {hi:g}] leaves prior mass {tail_mass:.3e} uncovered")
+    g = prior.pdf(phis)[:, None]
+    denom = np.trapezoid(g * model.probs, phis, axis=0)
+    num = np.trapezoid(g * model.probs * phis[:, None], phis, axis=0)
     return g, denom, np.divide(num, denom, out=np.zeros_like(denom), where=denom >= 1e-300)
 
 

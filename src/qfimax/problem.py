@@ -34,6 +34,7 @@ from .operators import (
     require_valid,
 )
 from .optimizer import OptimizerConfig
+from .oracles import GaussianPrior
 
 POVM_PRESETS = {
     "computational": ch_presets.basis_povm,
@@ -223,7 +224,10 @@ def decode_bayes(spec) -> BayesSpec:
         if not isinstance(spec["sweep"], list):
             raise ValidationError("bayes sweep must be a list of numbers")
         kwargs["sweep"] = tuple(_number(x, "bayes sweep entry") for x in spec["sweep"])
-    return BayesSpec(**kwargs)
+    bayes = BayesSpec(**kwargs)
+    for delta in dict.fromkeys(bayes.sweep + (bayes.delta_prior,)):
+        GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)  # the prior's own checks
+    return bayes
 
 
 def decode_optimizer(spec, input_state) -> OptimizerConfig:

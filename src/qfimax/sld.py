@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
+    EPS_DEG,
+    EPS_RANK,
     DensityMatrix,
     HermitianOperator,
     _checked_hermitian,
@@ -154,7 +156,7 @@ def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray 
 
 
 def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
-                  eps_rank: float = 1e-12) -> SldResult:
+                  eps_rank: float = EPS_RANK) -> SldResult:
     """Solve (1/2){X, rho} = R for Hermitian X.
 
     Matrix elements with eigenvalue sums below eps_rank * lambda_max are
@@ -168,7 +170,7 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
     return _solve(rho, None, r.matrix, eps_rank, "rhs")
 
 
-def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> SldResult:
+def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> SldResult:
     """SLD of the covariant family e^{-i phi H} rho e^{i phi H}, for rho
     as solve_sld_rhs takes it: the case A = -iH of _solve, so
     -i[H, rho] enters in its blocks on (V, lam) and no commutator is
@@ -176,7 +178,7 @@ def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float =
     return _solve(rho, -1j * h.matrix, None, eps_rank, "H")
 
 
-def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = 1e-12) -> float:
+def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> float:
     """Quantum Fisher information Tr{rho L^2}."""
     return qfi_from_sld(rho, sld(rho, h, eps_rank))
 
@@ -194,7 +196,7 @@ def qfi_from_sld(rho: DensityMatrix | np.ndarray, res: SldResult) -> float:
     return _unbatched(np.maximum(value[..., 0, 0].real, 0.0))
 
 
-def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: float = 1e-9) -> bool:
+def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: float = EPS_DEG) -> bool:
     """True iff rho couples all eigenspaces of H into a single block.
 
     Eigenvalues of H within eps of each other are treated as one

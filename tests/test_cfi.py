@@ -65,6 +65,14 @@ class TestOutcomeStatistics:
         stats = outcome_statistics(PLUS.projector(), H_Z, basis_povm(2))
         np.testing.assert_allclose(stats.dprobs, [0.0, 0.0], atol=1e-14)
 
+    @pytest.mark.parametrize("probs, dprobs, what", [
+        ([np.nan, np.nan], [0.0, 0.0], "probabilities"),
+        ([0.5, 0.5], [np.nan, 0.0], "probability derivatives"),
+    ])
+    def test_nan_sums_rejected(self, probs, dprobs, what):
+        with pytest.raises(ValidationError, match=f"{what} sum to nan"):
+            OutcomeStatistics(probs, dprobs, ("0", "1"))
+
 
 class TestClassicalFi:
     def test_zero_derivatives(self):

@@ -25,7 +25,7 @@ from qfimax import (
     step,
 )
 from qfimax.channels import identity_channel, pauli_basis_povm
-from qfimax import optimizer
+from qfimax import optimizer, oracles
 from qfimax.operators import FactoredOperator, haar_state, hermitian_operator, mixture
 from qfimax.sld import qfi_from_sld
 
@@ -92,11 +92,11 @@ def test_each_restart_is_its_own_solve(route, d, r, max_iters, monkeypatch):
         if route != "cfi":
             assert [int(deficit) for *_, deficit in mine] == [rec.sld_rank_deficit for rec in one.trace]
 
-    # the kept restart's trace, probe and warnings are those of its own solve
-    values, best = batched.restart_values, 0
-    for k, f in enumerate(values):
-        if f > values[best] + optimizer.EPS_TIE * max(1.0, abs(values[best])):
-            best = k
+    # the kept restart's trace, probe and warnings are those of its own solve; it is
+    # the lowest index within EPS_TIE * max(1, |max|) of the largest value
+    values = batched.restart_values
+    top = max(values)
+    best = next(k for k, f in enumerate(values) if f >= top - optimizer.EPS_TIE * max(1.0, abs(top)))
     kept = singles[best]
     assert [rec.f for rec in batched.trace] == pytest.approx([rec.f for rec in kept.trace],
                                                             rel=1e-12, abs=0)
@@ -105,6 +105,29 @@ def test_each_restart_is_its_own_solve(route, d, r, max_iters, monkeypatch):
     assert batched.converged == kept.converged
     np.testing.assert_allclose(batched.psi_star.amplitudes, kept.psi_star.amplitudes,
                                rtol=0, atol=1e-12)
+
+
+# each value ties with its neighbours but the first and the last do not: a
+# sequential rule keeps index 2, the lowest index near the maximum is 1
+TIE_CHAIN = (1.0, 1.0 + 0.9e-13, 1.0 + 1.8e-13)
+
+
+def test_tie_chain_keeps_the_lowest_index_near_the_maximum(monkeypatch):
+    assert 0.9e-13 < optimizer.EPS_TIE < 1.8e-13
+
+    def update(psi):  # fixed per-restart values: every restart stops at its second step
+        b = len(psi.amplitudes)
+        return np.array(TIE_CHAIN), hermitian_operator(np.tile(np.diag([1.0, 0.0]), (b, 1, 1))), [0] * b
+
+    result = optimizer.run_alternating(identity_channel(2), OptimizerConfig(restarts=3), update)
+    assert result.restart_values == TIE_CHAIN and result.restart_iterations == (2, 2, 2)
+    assert result.f_star == TIE_CHAIN[1]
+    # the brute-force oracle keeps its probe by the same rule
+    monkeypatch.setattr(oracles, "bloch_qfi",
+                        lambda w, h: np.concatenate((TIE_CHAIN, np.zeros(w.shape[-1] - 3))))
+    probes = oracles.search_probes(2, 1, 0)
+    value, psi = oracles.brute_force_max_qfi(identity_channel(2), HermitianOperator(np.eye(2)), 1, 0)
+    assert value == TIE_CHAIN[1] and np.array_equal(psi.amplitudes, probes[1])
 
 
 def test_cases_cover_different_stops_and_the_cap():

@@ -179,6 +179,11 @@ class TestDerivativeChannel:
         with pytest.raises(NumericError, match="non-Hermitian"):
             derivative_adjoint_apply(DerivativeChannel(((a, b),)), random_hermitian(3, rng))
 
+    def test_nan_adjoint_rejected(self):
+        a = np.diag([np.nan, 1.0]).astype(complex)
+        with pytest.raises(NumericError, match="non-Hermitian"):
+            derivative_adjoint_apply(DerivativeChannel(((a, np.eye(2)),)), HermitianOperator(np.eye(2)))
+
 
 class TestEigendecomposition:
     def test_diagonal_reordering(self):

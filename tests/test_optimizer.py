@@ -378,6 +378,10 @@ class TestOptimizeGeneral:
         (a0, b0), *rest = fd.terms
         with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
             optimize_general(ch, DerivativeChannel((((1.0 + 1e-6j) * a0, b0), *rest)), cfg)
+        # a NaN output fails the check too, before it reaches the solve
+        nan = np.diag([np.nan, 1.0, 1.0]).astype(complex)
+        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
+            optimize_general(identity_channel(3), DerivativeChannel(((nan, 2.0 * np.eye(3)),)), FAST)
 
     def test_finite_difference_family_matches_oracle(self):
         base = dephasing_channel(0.8)

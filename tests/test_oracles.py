@@ -115,6 +115,20 @@ class TestBayesEstimator:
             bayes_best_estimator(sin_model(prior), prior)
 
 
+class TestDiscreteModel:
+    @pytest.mark.parametrize("where", ["probability", "probability row", "grid point"])
+    def test_nan_rejected(self, where):
+        phis, probs = np.linspace(-1.0, 1.0, 5), np.full((5, 2), 0.5)
+        if where == "probability":
+            probs[2, 0] = np.nan
+        elif where == "probability row":
+            probs[2] = np.nan
+        else:
+            phis[2] = np.nan
+        with pytest.raises(ValidationError):
+            DiscreteModel(phis, probs)
+
+
 class TestBayesGaussianFi:
     def test_constant_model(self):
         prior = GaussianPrior(0.1)
@@ -329,6 +343,10 @@ class TestEigenbasisQfi:
         h = random_hermitian(4, rng)
         np.testing.assert_allclose(eigenbasis_qfi(np.stack([r.matrix for r in rhos]), h.matrix),
                                    [qfi(r, h) for r in rhos], rtol=1e-10)
+
+    def test_empty_stack(self):
+        assert eigenbasis_qfi(np.zeros((0, 2, 2)), H_Z.matrix).shape == (0,)
+        assert bloch_qfi(np.zeros((1, 2, 0)), H_Z.matrix).shape == (0,)
 
     def test_checks_each_state_as_the_sld_solver_does(self):
         good = PLUS.projector().matrix

@@ -275,6 +275,10 @@ class TestCliExitCodes:
          {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "gridpoints": 2001}}, []),
         ("number-sweep", "bayes-check",
          {"bayes": {"delta_prior": 1e-3, "grid_points": 2001, "sweep": 5}}, []),
+        # a bad bayes section fails on every command, not only bayes-check
+        ("even-grid-points", "qfi-eval", {"bayes": {"delta_prior": 1e-3, "grid_points": 4}}, []),
+        ("negative-delta-prior", "qfi-max", {"bayes": {"delta_prior": -1e-3}}, []),
+        ("zero-sweep-width", "cfi-eval", {"bayes": {"sweep": [0.3, 0.0]}}, []),
         # rejected before the grid is allocated
         ("huge-grid-points", "bayes-check",
          {"bayes": {"delta_prior": 1e-3, "grid_points": 100000001}}, []),
