@@ -23,6 +23,7 @@ from .operators import (
     hermitian_commutator,
     hermitian_operator,
     hermitian_part,
+    require_valid,
 )
 from .optimizer import OptimizationResult, OptimizerConfig, run_alternating
 
@@ -178,7 +179,6 @@ def _fixed_measurement_update(ch: QuantumChannel, h: HermitianOperator, povm: Po
         rho_in = v[..., :, None] * v[..., None, :].conj()
         pd = rho_in.reshape(v.shape[:-1] + (-1,)).view(float) @ rows.T
         p, dp = pd[..., :n], pd[..., n:]
-        _check_sums(p, dp)
         d = _on_support(dp, p)
         m = (np.concatenate((-d * d, 2.0 * d), axis=-1) @ rows).view(complex)
         m = hermitian_operator(m.reshape(v.shape[:-1] + (d_in, d_in)))
@@ -194,6 +194,8 @@ def optimize_fixed_measurement(ch: QuantumChannel, h: HermitianOperator, povm: P
     and a maximum-eigenvector state update (_fixed_measurement_update): no
     output state is formed, and the outputs' rank deficits are counted on
     the kept restart's trace alone (run_alternating)."""
+    for obj in (ch, h, povm):
+        require_valid(obj)
     if ch.dim_out != h.dim or povm.dim != h.dim:
         raise ValidationError("generator, POVM and channel output dimensions must match")
     return run_alternating(ch, cfg, _fixed_measurement_update(ch, h, povm), h)

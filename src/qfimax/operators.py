@@ -8,7 +8,8 @@ share across threads.
 Construction performs only cheap structural checks (shapes, emptiness).
 Semantic invariants (trace preservation, positivity, completeness) are
 checked by :func:`validate`, which reports residuals instead of raising,
-so that deliberately broken objects can be diagnosed.
+so that deliberately broken objects can be diagnosed; an entry point
+requires its inputs valid (:func:`require_valid`), not what it builds.
 """
 
 from __future__ import annotations
@@ -92,9 +93,7 @@ def hermitian_operator(a: np.ndarray) -> "HermitianOperator":
 def _checked_hermitian(m: np.ndarray) -> "HermitianOperator":
     """HermitianOperator of a matrix whose Hermiticity the library has
     already established, without a copy."""
-    op = _wrap(HermitianOperator, matrix=m)
-    object.__setattr__(op, "_checked", True)
-    return op
+    return _wrap(HermitianOperator, matrix=m, _valid=True)
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,9 @@ class HermitianOperator:
     """Finite-dimensional self-adjoint operator."""
 
     matrix: np.ndarray
-    # True on an operator whose Hermiticity the library established when
-    # it made it (not a field); hermitian_eig checks only the others
-    _checked = False
+    # True on an operator that require_valid passed or the library made
+    # exactly Hermitian (not a field); hermitian_eig checks only the others
+    _valid = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
@@ -402,12 +401,18 @@ def mixture(w: np.ndarray) -> DensityMatrix:
 def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
     """Schroedinger-picture action sum_k K rho K^dag of a DensityMatrix
     rho, or of |psi><psi| given the PureState psi, which is computed as
-    W W^dag from its kraus_images W."""
+    W W^dag from its kraus_images W; a state, marked valid, as ch and rho
+    are required valid."""
+    require_valid(ch, "channel")
+    require_valid(rho, "input state")
     if isinstance(rho, PureState):
-        return mixture(kraus_images(ch, rho))
-    if ch.dim_in != rho.dim:
+        w = kraus_images(ch, rho)
+        m = w.swapaxes(-1, -2) @ w.conj()
+    elif ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
-    return _wrap(DensityMatrix, matrix=hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack)))
+    else:
+        m = _sandwich(ch.stack, rho.matrix, ch.stack)
+    return _wrap(DensityMatrix, matrix=hermitian_part(m), _valid=True)
 
 
 def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> HermitianOperator:
@@ -458,7 +463,7 @@ def _eigh(a: HermitianOperator) -> tuple:
     each matrix of a stack), in no phase convention: for callers that read
     no eigenvector's phase, or fix it on the columns they keep. An operator
     the library made is known to be Hermitian; any other is checked."""
-    if not a._checked and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
+    if not a._valid and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
         raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
     return np.linalg.eigh(a.matrix)
 
@@ -582,31 +587,25 @@ def _derivative_residuals(a: np.ndarray, b: np.ndarray):
     return float(herm), float(trace)
 
 
+def _over(invariant: str, residual: float, eps: float) -> list:
+    """[Violation(invariant, residual)] if residual exceeds eps or is NaN, else []."""
+    return [] if residual <= eps else [Violation(invariant, residual)]
+
+
 def density_violations(m: np.ndarray) -> list:
-    """The hermiticity and unit-trace violations of a density matrix m, or
-    the largest over a stack of them; positivity, which needs their
-    eigenvalues, is left to the caller."""
-    r = max_abs(m - dagger(m))
-    out = [] if r <= EPS_HERM else [Violation("density matrix hermiticity", r)]
-    return out + trace_violations(m.trace(axis1=-2, axis2=-1))
+    """The hermiticity, unit-trace and positivity violations of a density
+    matrix m, or the largest over a stack of them (of any length)."""
+    wmin = float(np.linalg.eigvalsh(hermitian_part(m)).min(initial=0.0))
+    return (_over("density matrix hermiticity", max_abs(m - dagger(m)), EPS_HERM)
+            + trace_violations(m.trace(axis1=-2, axis2=-1))
+            + _over("density matrix positivity", -wmin, EPS_PSD))
 
 
 def trace_violations(t: np.ndarray) -> list:
     """The unit-trace violation of density matrices with traces t, the
     largest over a stack."""
     r = float((abs(t.real - 1.0) + abs(t.imag)).max(initial=0.0))
-    return [] if r <= EPS_TRACE else [Violation("density matrix unit trace", r)]
-
-
-def check_density_spectrum(lam: np.ndarray) -> None:
-    """Raise ValidationError unless the ascending eigenvalues lam of a
-    density matrix (each row of lam, for a stack) are all at least -EPS_PSD
-    and the largest is positive."""
-    low = lam[..., 0].min(initial=0.0)  # the initial values pass an empty stack
-    if not low >= -EPS_PSD:
-        raise_violations([Violation("density matrix positivity", -float(low))], "density matrix")
-    if not lam[..., -1].min(initial=np.inf) > 0.0:
-        raise ValidationError("density matrix has no positive eigenvalue")
+    return _over("density matrix unit trace", r, EPS_TRACE)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -617,26 +616,16 @@ def validate(obj):
     non-finite residual (NaN or infinite entries) counts as a violation;
     numpy's warnings on computing it are silenced.
     """
-    out = []
     if isinstance(obj, DensityMatrix):
-        m = obj.matrix
-        out = density_violations(m)
-        wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(m))))
-        if not wmin >= -EPS_PSD:
-            out.append(Violation("density matrix positivity", -wmin))
-    elif isinstance(obj, HermitianOperator):
-        r = obj.herm_residual()
-        if not r <= EPS_HERM:
-            out.append(Violation("operator hermiticity", r))
-    elif isinstance(obj, PureState):
-        r = abs(float(np.linalg.norm(obj.amplitudes)) - 1.0)
-        if not r <= EPS_NORM:
-            out.append(Violation("state normalisation", r))
-    elif isinstance(obj, QuantumChannel):
+        return density_violations(obj.matrix)
+    if isinstance(obj, HermitianOperator):
+        return _over("operator hermiticity", obj.herm_residual(), EPS_HERM)
+    if isinstance(obj, PureState):
+        return _over("state normalisation", abs(float(np.linalg.norm(obj.amplitudes)) - 1.0), EPS_NORM)
+    if isinstance(obj, QuantumChannel):
         r = max_abs(_kraus_gram(obj.stack) - np.eye(obj.dim_in))
-        if not r <= EPS_TP:
-            out.append(Violation("channel trace preservation", r))
-    elif isinstance(obj, Povm):
+        return _over("channel trace preservation", r, EPS_TP)
+    if isinstance(obj, Povm):
         s = obj.stack
         sd = s.conj().swapaxes(1, 2)
         herm = np.max(np.abs(s - sd), axis=(1, 2))
@@ -647,23 +636,20 @@ def validate(obj):
         out = [Violation(f"POVM element '{obj.labels[i]}' positivity", float(-wmin[i])) if ok[i]
                else Violation(f"POVM element '{obj.labels[i]}' hermiticity", float(herm[i]))
                for i in np.flatnonzero(~(ok & (wmin >= -EPS_PSD)))]
-        r = max_abs(s.sum(axis=0) - np.eye(obj.dim))
-        if not r <= EPS_TP:
-            out.append(Violation("POVM completeness", r))
-    elif isinstance(obj, DerivativeChannel):
+        return out + _over("POVM completeness", max_abs(s.sum(axis=0) - np.eye(obj.dim)), EPS_TP)
+    if isinstance(obj, DerivativeChannel):
         herm, trace = _derivative_residuals(*obj.stack)
-        if not herm <= EPS_DERIVATIVE:
-            out.append(Violation("derivative channel hermiticity preservation", herm))
-        if not trace <= EPS_DERIVATIVE:
-            out.append(Violation("derivative channel trace annihilation", trace))
-    else:
-        raise TypeError(f"validate: unsupported type {type(obj).__name__}")
-    return out
+        return (_over("derivative channel hermiticity preservation", herm, EPS_DERIVATIVE)
+                + _over("derivative channel trace annihilation", trace, EPS_DERIVATIVE))
+    raise TypeError(f"validate: unsupported type {type(obj).__name__}")
 
 
 def require_valid(obj, what: str = ""):
-    """Raise ValidationError listing all violations, if any."""
-    raise_violations(validate(obj), what or type(obj).__name__)
+    """Raise ValidationError listing all violations, if any. Success is
+    kept on the immutable object, so each object is validated once."""
+    if not getattr(obj, "_valid", False):
+        raise_violations(validate(obj), what or type(obj).__name__)
+        object.__setattr__(obj, "_valid", True)
 
 
 def raise_violations(violations: list, label: str) -> None:

@@ -37,8 +37,9 @@ from .operators import (
     hermitian_part,
     kraus_images,
     max_eigvec,
+    require_valid,
 )
-from .sld import _solve, is_irreducible, qfi_from_sld
+from .sld import _solve, _support, is_irreducible, qfi_from_sld
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_TIE = 1e-13  # values this close (relative) to the best tie; the lowest index wins (best_index)
@@ -47,9 +48,12 @@ FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibil
 
 
 def best_index(values) -> int:
-    """The lowest index of values within EPS_TIE * max(1, |max|) of their maximum."""
+    """The lowest index of values within EPS_TIE * max(1, |max|) of their
+    maximum; NumericError if that maximum is not finite (or a value NaN)."""
     values = np.asarray(values, dtype=float)
     best = values.max()
+    if not np.isfinite(best):
+        raise NumericError(f"best value is not finite ({best})")
     return int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
 
 
@@ -153,8 +157,10 @@ def _lockstep(psi: PureState, update, cfg: OptimizerConfig):
     rank deficits (b,), or None to leave them to the kept trace
     (run_alternating); the next probes are the top eigenvectors of M.
     Returns the next probes and the step's per-probe arrays (f,
-    degenerate, rank deficit or None)."""
+    degenerate, rank deficit or None); NumericError for a non-finite f."""
     f, m, rank_deficit = update(psi)
+    if not np.isfinite(f).all():
+        raise NumericError(f"step value is not finite ({f})")
     psi_next, degenerate = max_eigvec(m, cfg.eps_deg)
     return psi_next, (f, degenerate, rank_deficit)
 
@@ -166,8 +172,8 @@ def _kept_diagnostics(ch: QuantumChannel, probes: list, h: HermitianOperator | N
     a generator) and, if ranks, dim_out - rank (None each otherwise), from
     their Kraus images W in stacks of at most FLAG_BLOCK_ENTRIES output
     matrix entries. The nonzero eigenvalues of rho = W W^dag are the
-    squared singular values of W, counted above eps_rank times the
-    largest."""
+    squared singular values of W, counted as the SLD solve counts its
+    rank (sld._support)."""
     flags = [None] * len(probes)
     deficits = [None] * len(probes)
     if h is None and not ranks:
@@ -178,9 +184,8 @@ def _kept_diagnostics(ch: QuantumChannel, probes: list, h: HermitianOperator | N
         if h is not None:
             flags[i:i + len(w)] = is_irreducible(w, h, cfg.eps_deg)
         if ranks:
-            lam = np.linalg.svd(w, compute_uv=False) ** 2
-            rank = np.count_nonzero(lam > cfg.eps_rank * lam[..., :1], axis=-1)
-            deficits[i:i + len(w)] = ch.dim_out - rank
+            on, _ = _support(np.linalg.svd(w, compute_uv=False) ** 2, cfg.eps_rank)
+            deficits[i:i + len(w)] = ch.dim_out - np.count_nonzero(on, axis=-1)
     return flags, deficits
 
 
@@ -204,6 +209,8 @@ def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
     optimize's update (_covariant_update) makes them; the one-probe case
     of the lockstep step of run_alternating. Returns the next probe and
     the record of step n."""
+    for obj in (ch, h, psi_n):
+        require_valid(obj)
     psi = _wrap(PureState, amplitudes=psi_n.amplitudes[None])
     psi_next, arrays = _lockstep(psi, _covariant_update(ch, h, cfg), cfg)
     flags, _ = _kept_diagnostics(ch, [psi_n.amplitudes], h, cfg, ranks=False)
@@ -230,7 +237,12 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     max_iters steps. The kept restart is the best (best_index).
     Reducibility is tested only against a generator h, and only on the
     kept restart's probes, once it is known; so are the rank deficits, for
-    an update that leaves them (None)."""
+    an update that leaves them (None). A user_supplied initial state is
+    checked here, once, for every route."""
+    if cfg.init_mode == "user_supplied":
+        if cfg.initial_state.dim != ch.dim_in:
+            raise DimensionMismatch(f"initial state has dim {cfg.initial_state.dim}, not {ch.dim_in}")
+        require_valid(cfg.initial_state, "initial state")
     b = cfg.restarts
     psi = _wrap(PureState, amplitudes=np.stack(
         [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
@@ -289,6 +301,8 @@ def optimize(ch: QuantumChannel, h: HermitianOperator,
              cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Maximum quantum Fisher information over input probe states, from
     the update of the covariant family (_covariant_update)."""
+    for obj in (ch, h):
+        require_valid(obj)
     if ch.dim_out != h.dim:
         raise ValidationError("generator dimension must match channel output dimension")
     return run_alternating(ch, cfg, _covariant_update(ch, h, cfg), h)
@@ -462,7 +476,9 @@ def optimize_general(ch: QuantumChannel, dch: DerivativeChannel,
     of ch, such as all of commuting_derivative's, enter M as a completed
     square, the form of the Fujiwara-Imai bound, through the update that
     optimize runs; the other pairs as sandwiches (_update). Each step's
-    value is Tr(rho L^2), with or without mirrored pairs."""
+    value is Tr(rho L^2), with or without mirrored pairs. dch is checked
+    per step, relative to its size (_residual_rhs, derivative_adjoint_apply)."""
+    require_valid(ch)
     if dch.dim_in != ch.dim_in or dch.dim_out != ch.dim_out:
         raise ValidationError("derivative channel dimensions must match the channel")
     return run_alternating(ch, cfg, _general_update(ch, dch, cfg))

@@ -23,11 +23,9 @@ from .operators import (
     PureState,
     QuantumChannel,
     channel_apply,
-    check_density_spectrum,
     dagger,
-    density_violations,
-    raise_violations,
-    trace_violations,
+    mixture,
+    require_valid,
 )
 from .optimizer import best_index
 
@@ -104,16 +102,11 @@ def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     7, 125 (2009)): F = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2,
     summed over the pairs with l_i + l_j > EPS_RANK * l_max, which are the
     pairs outside the SLD solver's null block at its default eps_rank.
-
-    The stack is checked as a density matrix by the SLD solver's checks;
-    a failure raises ValidationError with the solver's message and the
-    worst residual over the stack.
+    The states are not checked: brute_force_max_qfi's are states by
+    construction.
     """
     rho = np.asarray(rho)
-    flat = rho.reshape((-1,) + rho.shape[-2:])
-    raise_violations(density_violations(flat), "density matrix")
-    lam, v = np.linalg.eigh(flat)
-    check_density_spectrum(lam)
+    lam, v = np.linalg.eigh(rho.reshape((-1,) + rho.shape[-2:]))
     hv = v.conj().swapaxes(1, 2) @ h @ v
     pair = lam[:, :, None] + lam[:, None, :]
     on = pair > EPS_RANK * lam[:, -1:, None]
@@ -128,24 +121,16 @@ def bloch_qfi(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     without an eigensolve: with rho = (t 1 + r.sigma)/2 and
     H = h_0 1 + h.sigma, r.dr = 0 and F = 4 |h x r|^2 / t (Zhong et al.,
     Phys. Rev. A 87, 022337 (2013)), eigenbasis_qfi's formula for d = 2,
-    read from rho_00, rho_11 and rho_01 formed elementwise.
-
-    The stack is checked as eigenbasis_qfi checks it, but for the
-    Hermiticity that W W^dag has by construction, the spectrum on the
-    eigenvalues (t -+ |r|)/2; a failure raises ValidationError with the
-    SLD solver's message and the worst residual over the stack."""
+    read from rho_00, rho_11 and rho_01 formed elementwise. The states are
+    not checked, as in eigenbasis_qfi."""
     w0, w1 = w[:, 0], w[:, 1]
     p0 = (w0.real ** 2 + w0.imag ** 2).sum(axis=0)
     p1 = (w1.real ** 2 + w1.imag ** 2).sum(axis=0)
     c = (w0 * w1.conj()).sum(axis=0)  # rho_01 = (r_x - i r_y) / 2
-    t = p0 + p1
     rx, ry, rz = 2.0 * c.real, -2.0 * c.imag, p0 - p1
-    raise_violations(trace_violations(t), "density matrix")
-    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    check_density_spectrum(0.5 * np.stack((t - norm, t + norm), axis=-1))
     hx, hy, hz = h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0].real - h[1, 1].real)
     cx, cy, cz = hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx
-    return 4.0 * (cx * cx + cy * cy + cz * cz) / t
+    return 4.0 * (cx * cx + cy * cy + cz * cz) / (p0 + p1)
 
 
 @cache
@@ -180,12 +165,14 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
     """Max of QFI(Lambda(|psi><psi|)) over the search_probes: Haar samples,
     after a deterministic Bloch-sphere grid for qubit inputs.
 
-    A qubit output is scored from the Kraus images of all probes at once
-    by the closed form bloch_qfi, with no eigensolve and no output formed.
-    A larger output is formed and scored by eigenbasis_qfi, in blocks of
-    outputs of at most ORACLE_BLOCK_ENTRIES entries. The best probe
-    (best_index) is returned, with its value.
+    ch and h must be valid. A qubit output is scored from the Kraus images
+    of all probes at once by the closed form bloch_qfi, with no eigensolve
+    and no output formed. A larger output is formed and scored by
+    eigenbasis_qfi, in blocks of outputs of at most ORACLE_BLOCK_ENTRIES
+    entries. The best probe (best_index) is returned, with its value.
     """
+    for obj in (ch, h):
+        require_valid(obj)
     probes = search_probes(ch.dim_in, n_samples, seed)
     if ch.dim_out == 2:
         values = bloch_qfi(np.matmul(ch.stack, probes.T), h.matrix)
@@ -193,10 +180,8 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
         block = max(1, ORACLE_BLOCK_ENTRIES // ch.dim_out ** 2)
         values = np.empty(len(probes))
         for start in range(0, len(probes), block):
-            w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 1, 0)
-            rho = w @ w.conj().swapaxes(1, 2)
-            values[start:start + block] = eigenbasis_qfi(0.5 * (rho + rho.conj().swapaxes(1, 2)),
-                                                         h.matrix)
+            w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 0, 1)
+            values[start:start + block] = eigenbasis_qfi(mixture(w).matrix, h.matrix)
     i = best_index(values)
     return float(values[i]), PureState(probes[i])
 
@@ -211,8 +196,10 @@ def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
     sum_a Re C_x[a, a] plus, over the pairs a < b,
     2 (cos(phi g) Re C_x[a, b] + sin(phi g) Im C_x[a, b]) with
     g = lam_a - lam_b: d(d-1)/2 angles per grid point, and two products
-    per block of GRID_BLOCK grid points.
+    per block of GRID_BLOCK grid points. ch, h, psi and povm must be valid.
     """
+    for obj in (h, povm):
+        require_valid(obj)
     rho = channel_apply(ch, psi).matrix
     lam, v = h.eig.eigenvalues, h.eig.eigenvectors
     vd = dagger(v)

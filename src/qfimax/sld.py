@@ -25,12 +25,11 @@ from .operators import (
     _checked_hermitian,
     _eigh,
     _unbatched,
-    check_density_spectrum,
     dagger,
-    density_violations,
     hermitian_operator,
     mixture,
     raise_violations,
+    require_valid,
     trace_violations,
 )
 
@@ -58,36 +57,45 @@ class SldResult:
         return float(np.sqrt(sum(n * np.linalg.norm(d) ** 2 for d, n in self.defects())))
 
 
-def _spectrum(rho: DensityMatrix | np.ndarray, dim: int, name: str):
-    """rho checked as a density matrix of dimension dim, that of the
-    operator named `name` in the error, as (V, lam) with rho = V diag(lam)
-    V^dag, lam descending and V's columns orthonormal.
+def _checked(rho: DensityMatrix | np.ndarray):
+    """A caller's rho, checked once: a DensityMatrix by require_valid (free
+    for one the library built), the images w_k of rho = W W^dag by its
+    trace sum |w_k|^2 alone, W W^dag being positive by construction."""
+    if isinstance(rho, DensityMatrix):
+        require_valid(rho, "density matrix")
+    else:
+        raise_violations(trace_violations((rho * rho.conj()).real.sum(axis=(-2, -1))), "density matrix")
+    return rho
 
-    rho is a DensityMatrix (every invariant is checked), or the (r, d)
-    stack of the vectors w_k, the columns of W (a channel output's
-    kraus_images). W W^dag is Hermitian by construction, so only its
-    trace, sum |w_k|^2, and its spectrum are checked. When r < d, V is
-    the thin (d, r) factor of the SVD W = V diag(s) U^dag, as rho has
-    rank at most r, and lam = s^2; otherwise V is square, from the
-    eigensolve of rho's matrix."""
+
+def _spectrum(rho: DensityMatrix | np.ndarray, dim: int, name: str):
+    """rho, unchecked but for its dimension dim (that of the operator named
+    `name` in the error), as (V, lam) with rho = V diag(lam) V^dag, lam
+    descending and V's columns orthonormal. rho is a DensityMatrix or the
+    (r, d) stack of the vectors w_k, the columns of W (a channel output's
+    kraus_images): when r < d, V is the thin (d, r) factor of the SVD W =
+    V diag(s) U^dag, as rho has rank at most r, and lam = s^2; otherwise V
+    is square, from the eigensolve of rho's matrix."""
     rho_dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
     if rho_dim != dim:
         raise ValidationError(f"dimension mismatch: rho {rho_dim}, {name} {dim}")
     if isinstance(rho, DensityMatrix):
-        raise_violations(density_violations(rho.matrix), "density matrix")
         m = rho.matrix
+    elif rho.shape[-2] < rho.shape[-1]:
+        _, s, vh = np.linalg.svd(rho, full_matrices=False)
+        return vh.swapaxes(-1, -2), s * s
     else:
-        raise_violations(trace_violations((rho * rho.conj()).real.sum(axis=(-2, -1))), "density matrix")
-        if rho.shape[-2] < rho.shape[-1]:
-            _, s, vh = np.linalg.svd(rho, full_matrices=False)
-            lam = s * s
-            check_density_spectrum(lam[..., ::-1])
-            return vh.swapaxes(-1, -2), lam
         m = mixture(rho).matrix
     lam, v = _eigh(_checked_hermitian(m))
-    check_density_spectrum(lam)
     # contiguous: each product with a reversed-stride view is slower than one copy
     return v[..., ::-1].copy(), lam[..., ::-1]
+
+
+def _support(lam: np.ndarray, eps_rank: float) -> tuple:
+    """(on, cut): the mask of rho's descending eigenvalues lam above the rank
+    cut, its numerical support, and the cut eps_rank * lam_max (per row)."""
+    cut = eps_rank * lam[..., :1]
+    return lam > cut, cut
 
 
 def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.ndarray | None,
@@ -98,11 +106,11 @@ def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.nd
     where that sum is above the cut and 0 elsewhere, and T = 2 P R V
     diag(lam)^-1 on the columns with lam above the cut, the support-kernel
     block. r_pv is None for a square V, whose kernel block is empty."""
-    cut = eps_rank * lam[..., :1]
+    on, cut = _support(lam, eps_rank)
     denom = lam[..., :, None] + lam[..., None, :]
     solvable = denom > cut[..., None]
     x = np.divide(2.0 * r_vv, denom, out=np.zeros(r_vv.shape, complex), where=solvable)
-    on = (lam > cut)[..., None, :]
+    on = on[..., None, :]
     # with A = V X + 2T, L = (A V^dag + V A^dag) / 2 = hermitian_part(A V^dag)
     a = v @ x
     if r_pv is not None:
@@ -162,12 +170,12 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
     Matrix elements with eigenvalue sums below eps_rank * lambda_max are
     in the numerical null-null block and are set to zero. rho is a
     DensityMatrix or the (r, d) stack of the vectors w_k of rho =
-    sum_k |w_k><w_k|, solved on its decomposition (V, lam) (see
-    _spectrum): from W's thin SVD when r < d, else from an eigensolve,
-    whose support-kernel block is empty. rho and R may carry a leading
-    batch axis: one equation per slice. The R case of _solve.
+    sum_k |w_k><w_k|, checked (_checked), solved on its decomposition
+    (V, lam) (see _spectrum): from W's thin SVD when r < d, else from an
+    eigensolve, whose support-kernel block is empty. rho and R may carry a
+    leading batch axis: one equation per slice. The R case of _solve.
     """
-    return _solve(rho, None, r.matrix, eps_rank, "rhs")
+    return _solve(_checked(rho), None, r.matrix, eps_rank, "rhs")
 
 
 def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> SldResult:
@@ -175,7 +183,7 @@ def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float =
     as solve_sld_rhs takes it: the case A = -iH of _solve, so
     -i[H, rho] enters in its blocks on (V, lam) and no commutator is
     formed."""
-    return _solve(rho, -1j * h.matrix, None, eps_rank, "H")
+    return _solve(_checked(rho), -1j * h.matrix, None, eps_rank, "H")
 
 
 def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> float:

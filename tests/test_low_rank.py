@@ -222,6 +222,9 @@ class TestCompressedStep:
         tops = collections.Counter()
         monkeypatch.setattr(optimizer, "max_eigvec",
                             lambda m, eps: tops.update([m.dim]) or max_eigvec(m, eps))
+        # validated once, as parse_problem does: the solve validates nothing
+        for obj in (ch, h):
+            operators.require_valid(obj)
         monkeypatch.setattr(operators, "validate", lambda obj: pytest.fail("validate called"))
         result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
         n = len(result.trace)

@@ -24,10 +24,21 @@ from qfimax import (
     hermitian_eig,
     identity_channel,
     max_eigvec,
+    qfi,
     unitary_channel,
     validate,
 )
-from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_part
+from qfimax import operators
+from qfimax.operators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _sandwich,
+    dagger,
+    hermitian_part,
+    kraus_images,
+    mixture,
+)
 
 from helpers import (
     anticommutator,
@@ -127,6 +138,36 @@ class TestChannelAction:
         lhs = np.trace(a.matrix @ channel_apply(ch, rho).matrix)
         rhs = np.trace(channel_adjoint_apply(ch, a).matrix @ rho.matrix)
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestChannelApplyContract:
+    """channel_apply requires its channel and state valid, once each, and
+    marks its output valid: no solver checks that output again."""
+
+    def test_rejects_an_invalid_channel_or_state_with_its_own_message(self):
+        with pytest.raises(ValidationError, match="invalid channel: channel trace preservation"):
+            channel_apply(QuantumChannel((0.5 * I2,)), PLUS)
+        with pytest.raises(ValidationError, match="invalid input state: state normalisation"):
+            channel_apply(identity_channel(2), PureState(np.array([1.0, 1.0])))
+        with pytest.raises(ValidationError, match="invalid input state: density matrix unit trace"):
+            channel_apply(identity_channel(2), DensityMatrix(I2))
+
+    def test_output_of_a_channel_inside_its_tolerance_is_not_checked_again(self, monkeypatch):
+        # K_0 scaled by 1 + 4e-11: valid (residual 8e-11 <= EPS_TP), yet
+        # the output's trace is off by more than EPS_TRACE
+        kraus = dephasing_channel(0.8).stack.copy()
+        kraus[0] *= 1.0 + 4e-11
+        ch = QuantumChannel(tuple(kraus))
+        assert validate(ch) == []
+        for state in (PLUS, PLUS.projector()):
+            out = channel_apply(ch, state)
+            assert abs(np.trace(out.matrix) - 1.0) > 1e-12
+            validated = []
+            with monkeypatch.context() as patch:
+                patch.setattr(operators, "validate", lambda obj: validated.append(obj) or [])
+                assert qfi(out, HermitianOperator(SIGMA_Z / 2.0)) == pytest.approx(0.64, rel=1e-9)
+                channel_apply(ch, state)  # the channel and the state were validated already
+            assert validated == []
 
 
 class TestDerivativeChannel:
@@ -317,6 +358,16 @@ def _hermitian_matrix(rng, d):
     return 0.5 * (g + g.conj().T)
 
 
+def _kraus_sum(ch, rho):
+    """sum_k K_k rho K_k^dag as channel_apply forms it, from a DensityMatrix
+    or from a PureState's kraus_images, for the Gaussian Kraus lists below:
+    they are not trace-preserving, and channel_apply requires a valid
+    channel (TestChannelApplyContract)."""
+    if isinstance(rho, PureState):
+        return mixture(kraus_images(ch, rho)).matrix
+    return hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack))
+
+
 class TestStackedMaps:
     @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
     def test_channel_maps_match_loops(self, d_out, d_in, r):
@@ -325,7 +376,7 @@ class TestStackedMaps:
         ch = QuantumChannel(tuple(kraus))
         rho = random_density(d_in, rng)
         a = _hermitian_matrix(rng, d_out)
-        got = channel_apply(ch, rho).matrix
+        got = _kraus_sum(ch, rho)
         want = _loop_sandwich(kraus, rho.matrix, kraus)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         got = channel_adjoint_apply(ch, HermitianOperator(a)).matrix
@@ -337,8 +388,8 @@ class TestStackedMaps:
         rng = np.random.default_rng(7 + r)
         ch = QuantumChannel(tuple(_gaussian(rng, d_out, d_in) for _ in range(r)))
         psi = haar_state(d_in, rng)
-        got = channel_apply(ch, psi).matrix
-        want = channel_apply(ch, psi.projector()).matrix
+        got = _kraus_sum(ch, psi)
+        want = _kraus_sum(ch, psi.projector())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("d_out, d_in, r", SHAPES)
@@ -348,7 +399,7 @@ class TestStackedMaps:
         ch = QuantumChannel(tuple(_gaussian(rng, d_out, d_in) for _ in range(r)))
         rho = random_density(d_in, rng)
         a = HermitianOperator(_hermitian_matrix(rng, d_out))
-        lhs = np.trace(channel_apply(ch, rho).matrix @ a.matrix)
+        lhs = np.trace(_kraus_sum(ch, rho) @ a.matrix)
         rhs = np.trace(rho.matrix @ channel_adjoint_apply(ch, a).matrix)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 

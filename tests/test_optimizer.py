@@ -26,6 +26,7 @@ from qfimax import (
     identity_channel,
     objective_g,
     optimize,
+    optimize_fixed_measurement,
     optimize_general,
     sld,
     step,
@@ -34,13 +35,13 @@ from qfimax import (
 from qfimax import operators
 from qfimax.cli import main
 from qfimax.operators import dagger, hermitian_operator, kraus_images
-from qfimax.optimizer import _general_update, _kraus_aligned, run_alternating
+from qfimax.optimizer import _general_update, _kraus_aligned, best_index, run_alternating
 from qfimax.problem import emit_problem, parse_problem
 from qfimax.sld import solve_sld_rhs
 from qfimax.oracles import brute_force_max_qfi
 from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from helpers import random_channel, random_hermitian, variational_value
+from helpers import random_channel, random_hermitian, random_povm, variational_value
 
 I2 = np.eye(2, dtype=complex)
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
@@ -170,6 +171,22 @@ class TestOptimize:
             psi = psi_next
         assert np.array_equal(result.psi_star.amplitudes, result.trace[-1].psi.amplitudes)
 
+    @pytest.mark.parametrize("route", ["qfi", "general", "cfi"])
+    def test_initial_state_checked_once_on_every_route(self, route):
+        # one error for a user-supplied state of the wrong dimension, and one
+        # for an unnormalised one, whichever route runs
+        rng = np.random.default_rng(40)
+        ch, h = random_channel(3, rng), random_hermitian(3, rng)
+        routes = {"qfi": lambda cfg: optimize(ch, h, cfg),
+                  "general": lambda cfg: optimize_general(ch, commuting_derivative(ch, h), cfg),
+                  "cfi": lambda cfg: optimize_fixed_measurement(ch, h, random_povm(3, rng), cfg)}
+        for state, error, message in (
+                (np.ones(2) / np.sqrt(2.0), DimensionMismatch, "initial state has dim 2"),
+                (np.ones(3), ValidationError, "invalid initial state: state normalisation")):
+            cfg = OptimizerConfig(init_mode="user_supplied", initial_state=PureState(state))
+            with pytest.raises(error, match=message):
+                routes[route](cfg)
+
     def test_uniform_superposition_init(self):
         cfg = OptimizerConfig(init_mode="uniform_superposition", restarts=1, seed=0)
         result = optimize(identity_channel(2), H_Z, cfg)
@@ -221,7 +238,8 @@ class TestOptimize:
     def test_one_eigensolve_per_matrix(self, monkeypatch):
         # per step: the output state (SLD solve, r = d) and the objective
         # operator (top eigenvector), neither phase-fixed; the generator
-        # once per solve, phase-fixed; no validate call
+        # once per solve, phase-fixed; validate once per input, at entry,
+        # and never again: a second solve on the same inputs calls it 0 times
         calls = {"_eigh": 0, "hermitian_eig": 0, "validate": 0}
 
         def counted(name, f):
@@ -238,7 +256,9 @@ class TestOptimize:
         rng = np.random.default_rng(8)
         ch, h = random_channel(4, rng), random_hermitian(4, rng)
         result = optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
-        assert calls == {"_eigh": 2 * len(result.trace) + 1, "hermitian_eig": 1, "validate": 0}
+        assert calls == {"_eigh": 2 * len(result.trace) + 1, "hermitian_eig": 1, "validate": 2}
+        optimize(ch, h, OptimizerConfig(restarts=1, max_iters=7, tol=1e-300))
+        assert calls["validate"] == 2
 
     def test_x_update_is_optimal(self):
         rng = np.random.default_rng(3)
@@ -271,6 +291,17 @@ class TestRestartTies:
         assert result.restart_iterations == (2,) * len(values)
         assert result.restart_converged == (True,) * len(values)
         assert result.f_star == values[winner]
+
+    @pytest.mark.parametrize("values", [[0.0, np.inf], [np.nan, 1.0]])
+    def test_non_finite_maximum_is_a_numeric_error(self, values):
+        # a threshold best - EPS_TIE * |best| of inf is NaN, which kept index 0
+        with np.errstate(all="raise"), pytest.raises(NumericError, match="not finite"):
+            best_index(values)
+
+    def test_non_finite_step_value_is_a_numeric_error(self):
+        cfg = OptimizerConfig(restarts=2, max_iters=5)
+        with pytest.raises(NumericError, match="step value is not finite"):
+            run_alternating(identity_channel(2), cfg, self._ending_at([1.0, np.nan]))
 
     def test_degenerate_optimum_keeps_first_restart(self):
         pf = parse_problem((PROBLEMS / "dephasing_08.json").read_bytes())

@@ -348,17 +348,6 @@ class TestEigenbasisQfi:
         assert eigenbasis_qfi(np.zeros((0, 2, 2)), H_Z.matrix).shape == (0,)
         assert bloch_qfi(np.zeros((1, 2, 0)), H_Z.matrix).shape == (0,)
 
-    def test_checks_each_state_as_the_sld_solver_does(self):
-        good = PLUS.projector().matrix
-        with pytest.raises(ValidationError, match="density matrix unit trace"):
-            eigenbasis_qfi(np.stack([good, 0.5 * good]), H_Z.matrix)
-        with pytest.raises(ValidationError, match="density matrix positivity"):
-            eigenbasis_qfi(np.stack([good, np.diag([1.5, -0.5])]), H_Z.matrix)
-        # the closed form reads Kraus images, whose W W^dag is positive by construction
-        w = np.stack((PLUS.amplitudes, np.zeros(2)))
-        with pytest.raises(ValidationError, match="density matrix unit trace"):
-            bloch_qfi(np.stack((w, np.sqrt(0.5) * w), axis=-1), H_Z.matrix)
-
 
 class TestBatchedBruteForce:
     def test_matches_per_probe_loop(self):
@@ -421,9 +410,10 @@ class TestBatchedBruteForce:
             grid[0, 0] = 0.0
 
     def test_invalid_output_raises_the_solver_message(self):
-        # the closed form's check (a qubit output) and eigenbasis_qfi's (a qutrit)
+        # a channel that is not trace-preserving is rejected at entry, with
+        # its own message, before any output is scored (a qubit and a qutrit)
         for dim in (2, 3):
-            with pytest.raises(ValidationError, match="density matrix unit trace"):
+            with pytest.raises(ValidationError, match="invalid QuantumChannel: channel trace preservation"):
                 brute_force_max_qfi(QuantumChannel((0.5 * np.eye(dim),)),
                                     random_hermitian(dim, np.random.default_rng(dim)), n_samples=5)
 

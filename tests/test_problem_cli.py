@@ -511,3 +511,69 @@ class TestBundledProblems:
             expected[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
         assert list(report["details"]["bayes_sweep"].items()) == list(expected.items())
         assert report["f_star"] == expected[f"{bayes.delta_prior:g}"]
+
+
+def _commands(doc):
+    """The commands whose sections the problem document doc has."""
+    return [c for c in cli.COMMANDS if set(cli.REQUIRED_SECTIONS[c]) <= set(doc)]
+
+
+def _kraus_scaled(doc):
+    """The channel written out as Kraus operators, K_0 scaled by 1 + 4e-11:
+    a trace-preservation residual of at most 8e-11, inside EPS_TP."""
+    kraus = parse_problem(json.dumps(doc)).channel.stack.copy()
+    kraus[0] *= 1.0 + 4e-11
+    return {**doc, "channel": {"kraus": encode_array(kraus)}}
+
+
+def _state_scaled(doc):
+    """input_state scaled by 1 + 0.9e-12: a norm residual inside EPS_NORM."""
+    return {**doc, "input_state": (np.array(doc["input_state"]) * (1.0 + 0.9e-12)).tolist()}
+
+
+# (problem, command, perturbation): every bundled problem with each command
+# it supports, and the input_state perturbation where there is an input_state
+PERTURBED = [(path.name, command, perturb)
+             for path in sorted(PROBLEMS.glob("*.json"))
+             for perturb in (_kraus_scaled, _state_scaled)
+             if perturb is _kraus_scaled or "input_state" in json.loads(path.read_text())
+             for command in _commands(json.loads(path.read_text()))]
+
+
+def _run(doc, command, tmp_path, capsys):
+    """(exit code, f_star or the stderr lines) of main on the document doc."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err, _ = run_main_quietly([command, "--problem", str(path)], capsys)
+    return code, (json.loads(out)["f_star"] if code == EXIT_OK else err)
+
+
+class TestInputsCheckedOnce:
+    """Inputs are checked once, at entry, at validate's tolerances; the
+    states built from them are not checked again at tighter ones."""
+
+    @pytest.mark.parametrize("name, command, perturb", PERTURBED,
+                             ids=[f"{p.__name__[1:]}-{n}-{c}" for n, c, p in PERTURBED])
+    def test_valid_perturbation_exits_as_the_problem_does(self, name, command, perturb, tmp_path, capsys):
+        doc = json.loads((PROBLEMS / name).read_text())
+        code, f_star = _run(doc, command, tmp_path, capsys)
+        assert code == EXIT_OK
+        assert _run(perturb(doc), command, tmp_path, capsys) == (code, pytest.approx(f_star, rel=1e-9, abs=0))
+
+    def test_user_supplied_state_inside_its_tolerance(self, tmp_path, capsys):
+        # |+> with its norm off by 0.9e-12, the start of a user_supplied solve too
+        doc = json.loads((PROBLEMS / "dephasing_08.json").read_text())
+        doc["input_state"] = [[0.7071067811865476 * (1.0 + 0.9e-12), 0.0]] * 2
+        doc["optimizer"]["init_mode"] = "user_supplied"
+        for command in _commands(doc):
+            assert _run(doc, command, tmp_path, capsys) == (EXIT_OK, pytest.approx(0.64, rel=1e-9))
+
+    def test_generator_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        # a valid generator whose squares overflow: the values are infinite or NaN
+        doc = json.loads((PROBLEMS / "dephasing_08.json").read_text())
+        doc["generator"] = (np.array(doc["generator"]) * 1e160).tolist()
+        assert _commands(doc) == ["qfi-max", "oracle"]
+        for command in _commands(doc):
+            with np.errstate(all="ignore"):
+                code, err = _run(doc, command, tmp_path, capsys)
+            assert code == EXIT_NUMERIC and err[-1].startswith("numeric error: "), (command, err)

@@ -332,7 +332,7 @@ class TestImagesPath:
             sld(2.0 * w, HermitianOperator(np.eye(4)))
         with pytest.raises(ValidationError, match="unit trace"):
             sld(np.full((2, 4), np.nan + 0j), HermitianOperator(np.eye(4)))
-        monkeypatch.setattr(sld_module, "density_violations",
+        monkeypatch.setattr(importlib.import_module("qfimax.operators"), "density_violations",
                             lambda m: pytest.fail("Hermiticity re-checked"))
         sld(w, HermitianOperator(np.eye(4)))
         sld(_images((5, 4), rng), HermitianOperator(np.eye(4)))
