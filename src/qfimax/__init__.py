@@ -61,7 +61,6 @@ from .oracles import (
     bayes_best_estimator,
     bayes_gaussian_fi,
     brute_force_max_qfi,
-    eigenbasis_qfi,
     model_from_quantum,
     pure_state_qfi,
 )

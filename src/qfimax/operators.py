@@ -406,13 +406,12 @@ def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> Density
     require_valid(ch, "channel")
     require_valid(rho, "input state")
     if isinstance(rho, PureState):
-        w = kraus_images(ch, rho)
-        m = w.swapaxes(-1, -2) @ w.conj()
+        m = mixture(kraus_images(ch, rho)).matrix
     elif ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
     else:
-        m = _sandwich(ch.stack, rho.matrix, ch.stack)
-    return _wrap(DensityMatrix, matrix=hermitian_part(m), _valid=True)
+        m = hermitian_part(_sandwich(ch.stack, rho.matrix, ch.stack))
+    return _wrap(DensityMatrix, matrix=m, _valid=True)
 
 
 def channel_adjoint_apply(ch: QuantumChannel, a: HermitianOperator) -> HermitianOperator:

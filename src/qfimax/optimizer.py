@@ -48,8 +48,7 @@ FLAG_BLOCK_ENTRIES = 1 << 14  # output matrix entries per block of the reducibil
 
 
 def best_index(values) -> int:
-    """The lowest index of values within EPS_TIE * max(1, |max|) of their
-    maximum; NumericError if that maximum is not finite (or a value NaN)."""
+    """The lowest index of values within EPS_TIE * max(1, |max|) of their finite maximum."""
     values = np.asarray(values, dtype=float)
     best = values.max()
     if not np.isfinite(best):
@@ -237,8 +236,7 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     max_iters steps. The kept restart is the best (best_index).
     Reducibility is tested only against a generator h, and only on the
     kept restart's probes, once it is known; so are the rank deficits, for
-    an update that leaves them (None). A user_supplied initial state is
-    checked here, once, for every route."""
+    an update that leaves them (None). A user_supplied start is checked here."""
     if cfg.init_mode == "user_supplied":
         if cfg.initial_state.dim != ch.dim_in:
             raise DimensionMismatch(f"initial state has dim {cfg.initial_state.dim}, not {ch.dim_in}")

@@ -22,6 +22,7 @@ from .operators import (
     Povm,
     PureState,
     QuantumChannel,
+    _wrap,
     channel_apply,
     dagger,
     mixture,
@@ -102,8 +103,7 @@ def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     7, 125 (2009)): F = 2 sum_ij (l_i - l_j)^2 / (l_i + l_j) |<i|H|j>|^2,
     summed over the pairs with l_i + l_j > EPS_RANK * l_max, which are the
     pairs outside the SLD solver's null block at its default eps_rank.
-    The states are not checked: brute_force_max_qfi's are states by
-    construction.
+    Internal to brute_force_max_qfi, whose states are not checked again.
     """
     rho = np.asarray(rho)
     lam, v = np.linalg.eigh(rho.reshape((-1,) + rho.shape[-2:]))
@@ -196,10 +196,14 @@ def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
     sum_a Re C_x[a, a] plus, over the pairs a < b,
     2 (cos(phi g) Re C_x[a, b] + sin(phi g) Im C_x[a, b]) with
     g = lam_a - lam_b: d(d-1)/2 angles per grid point, and two products
-    per block of GRID_BLOCK grid points. ch, h, psi and povm must be valid.
+    per block of GRID_BLOCK grid points. ch, h, psi and povm must be valid
+    and phis finite, on one axis; the rows, built from them, are not checked.
     """
     for obj in (h, povm):
         require_valid(obj)
+    phis = np.array(phis, dtype=float)
+    if phis.ndim != 1 or not np.all(np.isfinite(phis)):
+        raise ValidationError("model grid points must be finite, on one axis")
     rho = channel_apply(ch, psi).matrix
     lam, v = h.eig.eigenvalues, h.eig.eigenvectors
     vd = dagger(v)
@@ -208,13 +212,14 @@ def model_from_quantum(ch: QuantumChannel, h: HermitianOperator, psi: PureState,
     diagonal = np.trace(c, axis1=1, axis2=2).real
     pairs = 2.0 * c[:, a, b].T  # (pairs, outcomes)
     gaps = lam[a] - lam[b]
-    phis = np.asarray(phis, dtype=float)
     probs = np.empty((len(phis), len(c)))
     for start in range(0, len(phis), GRID_BLOCK):
         angle = np.outer(phis[start:start + GRID_BLOCK], gaps)
         probs[start:start + GRID_BLOCK] = (np.cos(angle) @ pairs.real + np.sin(angle) @ pairs.imag
                                            + diagonal)
-    return DiscreteModel(phis, probs)
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("model probabilities are not finite")
+    return _wrap(DiscreteModel, phis=phis, probs=probs)
 
 
 def _smoothed(model: DiscreteModel, prior: GaussianPrior):

@@ -79,13 +79,10 @@ def _spectrum(rho: DensityMatrix | np.ndarray, dim: int, name: str):
     rho_dim = rho.dim if isinstance(rho, DensityMatrix) else rho.shape[-1]
     if rho_dim != dim:
         raise ValidationError(f"dimension mismatch: rho {rho_dim}, {name} {dim}")
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    elif rho.shape[-2] < rho.shape[-1]:
+    if not isinstance(rho, DensityMatrix) and rho.shape[-2] < rho.shape[-1]:
         _, s, vh = np.linalg.svd(rho, full_matrices=False)
         return vh.swapaxes(-1, -2), s * s
-    else:
-        m = mixture(rho).matrix
+    m = rho.matrix if isinstance(rho, DensityMatrix) else mixture(rho).matrix
     lam, v = _eigh(_checked_hermitian(m))
     # contiguous: each product with a reversed-stride view is slower than one copy
     return v[..., ::-1].copy(), lam[..., ::-1]

@@ -177,6 +177,31 @@ class TestModelFromQuantum:
         model = model_from_quantum(ch, h, psi, basis_povm(3), np.linspace(-1, 1, 11))
         np.testing.assert_allclose(model.probs.sum(axis=1), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("phis", [[0.0, np.nan, 1.0], [[0.0, 1.0]], [0.0, np.inf]])
+    def test_grid_must_be_finite_on_one_axis(self, phis):
+        with pytest.raises(ValidationError, match="model grid points must be finite, on one axis"):
+            model_from_quantum(identity_channel(2), H_Z, PLUS, pauli_basis_povm("x"), phis)
+
+    def test_channel_inside_its_tolerance_is_not_checked_again(self):
+        # K_0 = 1 scaled by 1 + 4.99e-11: valid (residual 9.98e-11 <= EPS_TP),
+        # and a state whose norm is off by 0.9e-12: the rows sum to 1 + 1.02e-10,
+        # beyond the 1e-10 that DiscreteModel allows a caller's rows
+        ch = QuantumChannel((np.eye(2) * (1.0 + 4.99e-11),))
+        state = PureState(PLUS.amplitudes * (1.0 + 0.9e-12))
+        phis = np.linspace(-0.1, 0.1, 5)
+        model = model_from_quantum(ch, H_Z, state, pauli_basis_povm("y"), phis)
+        assert np.abs(model.probs.sum(axis=1) - 1.0).min() > 1e-10
+        with pytest.raises(ValidationError, match="model rows must be non-negative and sum to 1"):
+            DiscreteModel(model.phis, model.probs)
+        want = model_from_quantum(identity_channel(2), H_Z, PLUS, pauli_basis_povm("y"), phis)
+        np.testing.assert_allclose(model.probs, want.probs, rtol=1e-9, atol=0)
+
+    def test_non_finite_probabilities_are_a_numeric_error(self):
+        # eigenvalue gaps of 2e308 overflow: the angle at phi = 0 is 0 * inf
+        h = HermitianOperator(np.diag([1e308, -1e308]))
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="model probabilities are not finite"):
+            model_from_quantum(identity_channel(2), h, PLUS, pauli_basis_povm("x"), [-1.0, 0.0, 1.0])
+
 
 class TestOracleConsistency:
     def test_bayes_limit_matches_classical_fi(self):

@@ -568,6 +568,17 @@ class TestInputsCheckedOnce:
         for command in _commands(doc):
             assert _run(doc, command, tmp_path, capsys) == (EXIT_OK, pytest.approx(0.64, rel=1e-9))
 
+    def test_bayes_model_at_the_edge_of_the_channel_tolerance(self, tmp_path, capsys):
+        # K_0 scaled by 1 + 4.99e-11 (residual 9.98e-11 <= EPS_TP) and
+        # input_state by 1 + 0.9e-12: the model's rows sum to 1 + 1e-10
+        doc = json.loads((PROBLEMS / "bayes_qubit.json").read_text())
+        code, f_star = _run(doc, "bayes-check", tmp_path, capsys)
+        kraus = parse_problem(json.dumps(doc)).channel.stack.copy()
+        kraus[0] *= 1.0 + 4.99e-11
+        perturbed = _state_scaled({**doc, "channel": {"kraus": encode_array(kraus)}})
+        assert code == EXIT_OK
+        assert _run(perturbed, "bayes-check", tmp_path, capsys) == (code, pytest.approx(f_star, rel=1e-9, abs=0))
+
     def test_generator_overflow_is_a_numeric_failure(self, tmp_path, capsys):
         # a valid generator whose squares overflow: the values are infinite or NaN
         doc = json.loads((PROBLEMS / "dephasing_08.json").read_text())
