@@ -150,13 +150,14 @@ def run_command(command: str, problem: ProblemFile) -> dict:
     # bayes-check
     bayes = problem.bayes or BayesSpec()
     sweep = {}
-    # each distinct width once, in first-listed order
+    # each distinct width once, in first-listed order, reported under its repr: one key per width
     for delta in dict.fromkeys(tuple(bayes.sweep) + (bayes.delta_prior,)):
         prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
         model = model_from_quantum(ch, h, psi, problem.povm, prior.grid())
-        sweep[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
-    return _report(command, problem, sweep[f"{bayes.delta_prior:g}"], psi,
-                   {"classical_fi": classical_fi(stats), "bayes_sweep": sweep})
+        sweep[delta] = bayes_gaussian_fi(model, prior)
+    return _report(command, problem, sweep[bayes.delta_prior], psi,
+                   {"classical_fi": classical_fi(stats),
+                    "bayes_sweep": {repr(delta): fi for delta, fi in sweep.items()}})
 
 
 def _write_trace_csv(path: str, report: dict) -> None:
@@ -216,7 +217,11 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.trace_csv:
-        _write_trace_csv(args.trace_csv, report)
+        try:
+            _write_trace_csv(args.trace_csv, report)
+        except OSError as exc:
+            print(f"error: cannot write trace CSV: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     if args.quiet:
         report = dict(report)
         report["trace"] = []

@@ -444,15 +444,14 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """The unit columns of v (of each matrix of a stack v), each multiplied
-    by the phase that makes its largest-magnitude component real and
-    positive (ties broken by lowest index). A unit column's largest
-    component is nonzero; a NaN column stays NaN."""
-    n, k = v.shape[-2:]
+    """The unit vectors v (one along the last axis of v, or per row of a
+    stack), each multiplied by the phase that makes its largest-magnitude
+    component real and positive (ties broken by lowest index). A unit
+    vector's largest component is nonzero; a NaN vector stays NaN."""
     # argmax returns the lowest index among tied magnitudes
-    rows = np.abs(v).argmax(axis=-2).reshape(-1, k)
-    pivot = v.reshape(-1, n, k)[np.arange(len(rows))[:, None], rows, np.arange(k)]
-    pivot = pivot.reshape(v.shape[:-2] + (1, k))
+    rows = np.abs(v).argmax(axis=-1)
+    pivot = v.reshape(-1, v.shape[-1])[np.arange(rows.size), rows.ravel()]
+    pivot = pivot.reshape(rows.shape + (1,))
     # hypot rounds as the scalar abs() does; np.abs of complex may differ by an ulp
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
@@ -474,7 +473,8 @@ def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     matrix of a stack. An operator the library made is known to be
     Hermitian; any other is checked."""
     w, v = _eigh(a)
-    return _wrap(EigenDecomposition, eigenvalues=w, eigenvectors=_phase_fixed(v))
+    v = _phase_fixed(v.swapaxes(-1, -2)).swapaxes(-1, -2)  # the eigenvectors, columns of v, as rows
+    return _wrap(EigenDecomposition, eigenvalues=w, eigenvectors=v)
 
 
 def eigenspace_groups(eig: EigenDecomposition, eps: float):
@@ -520,10 +520,11 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = EPS_DEG
                 q = np.linalg.qr(cd, mode="complete")[0][..., r * m:r * m + 1]
                 v = np.where(kernel[..., None, None], q, v)
                 degenerate = np.where(kernel, (n - r * m > 1) | (-w[..., -1] <= eps_deg), degenerate)
-            return _wrap(PureState, amplitudes=_phase_fixed(v)[..., 0]), _unbatched(degenerate)
+            return _wrap(PureState, amplitudes=_phase_fixed(v[..., 0])), _unbatched(degenerate)
     w, v = _eigh(a)
-    degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=-np.inf) <= eps_deg
-    return _wrap(PureState, amplitudes=_phase_fixed(v[..., -1:])[..., 0]), _unbatched(degenerate)
+    # a 1 x 1 operator's only eigenvalue is not degenerate
+    degenerate = w[..., -1] - w[..., -2] <= eps_deg if a.dim > 1 else np.zeros(w.shape[:-1], bool)
+    return _wrap(PureState, amplitudes=_phase_fixed(v[..., -1])), _unbatched(degenerate)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .operators import (
     max_eigvec,
     require_valid,
 )
-from .sld import _solve, _support, is_irreducible, qfi_from_sld
+from .sld import _images_qfi, _solve, _support, is_irreducible
 
 INIT_MODES = ("random_haar", "uniform_superposition", "user_supplied")
 EPS_TIE = 1e-13  # values this close (relative) to the best tie; the lowest index wins (best_index)
@@ -217,13 +218,15 @@ def step(psi_n: PureState, ch: QuantumChannel, h: HermitianOperator,
             _record(n, psi_n.amplitudes, arrays, 0, flags[0], None))
 
 
-def _initial_state(dim: int, cfg: OptimizerConfig, restart: int) -> PureState:
-    if cfg.init_mode == "user_supplied":
-        return cfg.initial_state
-    if cfg.init_mode == "uniform_superposition":
-        return PureState(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
-    rng = np.random.default_rng([cfg.seed, restart])
-    return haar_state(dim, rng)
+@lru_cache(maxsize=1)
+def _haar_probes(dim: int, seed: int, restarts: int) -> np.ndarray:
+    """The (restarts, dim) stack of random_haar start probes, row k
+    haar_state(dim, default_rng([seed, k])): drawn once for the last
+    (dim, seed, restarts) asked for, and read-only."""
+    probes = np.stack([haar_state(dim, np.random.default_rng([seed, k])).amplitudes
+                       for k in range(restarts)])
+    probes.setflags(write=False)
+    return probes
 
 
 def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
@@ -237,13 +240,17 @@ def run_alternating(ch: QuantumChannel, cfg: OptimizerConfig, update,
     Reducibility is tested only against a generator h, and only on the
     kept restart's probes, once it is known; so are the rank deficits, for
     an update that leaves them (None). A user_supplied start is checked here."""
+    b, d = cfg.restarts, ch.dim_in
     if cfg.init_mode == "user_supplied":
-        if cfg.initial_state.dim != ch.dim_in:
-            raise DimensionMismatch(f"initial state has dim {cfg.initial_state.dim}, not {ch.dim_in}")
+        if cfg.initial_state.dim != d:
+            raise DimensionMismatch(f"initial state has dim {cfg.initial_state.dim}, not {d}")
         require_valid(cfg.initial_state, "initial state")
-    b = cfg.restarts
-    psi = _wrap(PureState, amplitudes=np.stack(
-        [_initial_state(ch.dim_in, cfg, k).amplitudes for k in range(b)]))
+        probes = np.repeat(cfg.initial_state.amplitudes[None], b, axis=0)
+    elif cfg.init_mode == "uniform_superposition":
+        probes = np.full((b, d), 1.0 / np.sqrt(d), dtype=complex)
+    else:
+        probes = _haar_probes(d, cfg.seed, b)
+    psi = _wrap(PureState, amplitudes=probes)
     active = list(range(b))
     steps = []  # (active restarts, their probes, the step's arrays) per step
     values, iterations, converged = [0.0] * b, [0] * b, [False] * b
@@ -426,8 +433,7 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
             rhs = aligned_rhs if rhs is None else aligned_rhs + rhs
         rhs = None if rhs is None else hermitian_part(rhs)
         if compress:
-            res = _solve(w, None if a is None else qd @ (a @ q), rhs, cfg.eps_rank, "H")
-            l = res.L.matrix
+            l, rank, _ = _solve(w, None if a is None else qd @ (a @ q), rhs, cfg.eps_rank, "H")
             k = l.shape[-1]
             g = np.zeros(l.shape[:-2] + (2 * k, 2 * k), dtype=complex)
             g[..., :k, :k] = -(l @ l)
@@ -435,15 +441,15 @@ def _update(ch: QuantumChannel, cfg: OptimizerConfig, a: np.ndarray | None = Non
             c = np.matmul(qd[..., None, None, :, :], kf).reshape(l.shape[:-2] + (r, 2 * k, d_in))
             m = FactoredOperator(c, hermitian_operator(g))
         else:
-            res = _solve(w, a, rhs, cfg.eps_rank, "H")
-            y = np.matmul((res.L.matrix if a is None else res.L.matrix - 2.0 * a)[..., None, :, :], ch.stack)
+            l, rank, _ = _solve(w, a, rhs, cfg.eps_rank, "H")
+            y = np.matmul((l if a is None else l - 2.0 * a)[..., None, :, :], ch.stack)
             if e is not None:
                 y -= 2.0 * e
             m = square - _kraus_gram(y)
             if residual is not None:
-                m += 2.0 * derivative_adjoint_apply(residual, res.L).matrix
+                m += 2.0 * derivative_adjoint_apply(residual, _checked_hermitian(l)).matrix
             m = _checked_hermitian(m)
-        return qfi_from_sld(w, res), m, d_out - res.rank
+        return _images_qfi(l, w), m, d_out - rank
 
     return update
 

@@ -10,8 +10,9 @@ serve as cross-checks for it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -146,17 +147,22 @@ def bloch_grid() -> np.ndarray:
     return grid
 
 
+@lru_cache(maxsize=1)
 def search_probes(dim_in: int, n_samples: int, seed: int) -> np.ndarray:
     """The probes of brute_force_max_qfi, as the rows of an (n, dim_in)
     array: for qubits the bloch_grid first, then n_samples Haar samples,
-    the stream of n_samples haar_state calls on default_rng(seed)."""
+    the stream of n_samples haar_state calls on default_rng(seed), for an
+    integer seed. Drawn once for the last (dim_in, n_samples, seed) asked
+    for; read-only and shared by every caller."""
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
-    z = np.random.default_rng(seed).standard_normal((n_samples, 2, dim_in))
+    # an integer seed: a Generator would be kept by identity and never drawn from again
+    z = np.random.default_rng(operator.index(seed)).standard_normal((n_samples, 2, dim_in))
     z = z[:, 0] + 1j * z[:, 1]
     probes = z / np.linalg.norm(z, axis=1, keepdims=True)
     if dim_in == 2:
         probes = np.concatenate((bloch_grid(), probes))
+    probes.setflags(write=False)
     return probes
 
 

@@ -4,7 +4,9 @@ The defining equation (1/2){L, rho} = A rho + rho A^dag (A = -iH for the
 SLD of the covariant family), or (1/2){L, rho} = R, is the single source
 of truth. One solve (_solve) works on a decomposition rho = V diag(lam)
 V^dag: the thin SVD of W for a low-rank rho = W W^dag given by W, else
-rho's eigenbasis, where the support-kernel block is empty. It is verified
+rho's eigenbasis, where the support-kernel block is empty. It returns
+plain arrays, which the alternating step reads as they are; sld,
+solve_sld_rhs and qfi wrap them as an SldResult (_result). It is verified
 through its residual rather than any transcribed closed form.
 """
 
@@ -26,7 +28,7 @@ from .operators import (
     _eigh,
     _unbatched,
     dagger,
-    hermitian_operator,
+    hermitian_part,
     mixture,
     raise_violations,
     require_valid,
@@ -95,50 +97,20 @@ def _support(lam: np.ndarray, eps_rank: float) -> tuple:
     return lam > cut, cut
 
 
-def _solve_support(v: np.ndarray, lam: np.ndarray, r_vv: np.ndarray, r_pv: np.ndarray | None,
-                   eps_rank: float) -> SldResult:
-    """The solve for rho = V diag(lam) V^dag, given R's blocks r_vv =
-    V^dag R V and r_pv = P R V (P = 1 - V V^dag), in O(d^2 r): L = V X V^dag
-    + T V^dag + V T^dag, X_ij = 2 R_ij / (lam_i + lam_j) the support block
-    where that sum is above the cut and 0 elsewhere, and T = 2 P R V
-    diag(lam)^-1 on the columns with lam above the cut, the support-kernel
-    block. r_pv is None for a square V, whose kernel block is empty."""
-    on, cut = _support(lam, eps_rank)
-    denom = lam[..., :, None] + lam[..., None, :]
-    solvable = denom > cut[..., None]
-    x = np.divide(2.0 * r_vv, denom, out=np.zeros(r_vv.shape, complex), where=solvable)
-    on = on[..., None, :]
-    # with A = V X + 2T, L = (A V^dag + V A^dag) / 2 = hermitian_part(A V^dag)
-    a = v @ x
-    if r_pv is not None:
-        a += np.divide(4.0 * r_pv, lam[..., None, :], out=np.zeros(r_pv.shape, complex), where=on)
-    vd = dagger(v)
-    l = hermitian_operator(a @ vd)
-    rank = _unbatched(on.sum(axis=-1)[..., 0])
-
-    def defects():
-        lv = l.matrix @ v
-        l_vv = vd @ lv
-        vv = 0.5 * (l_vv * lam[..., None, :] + lam[..., :, None] * l_vv) - r_vv
-        blocks = ((np.where(solvable, vv, 0.0), 1),)
-        if r_pv is None:
-            return blocks
-        pv = 0.5 * (lv - v @ l_vv) * lam[..., None, :] - r_pv
-        return blocks + ((np.where(on, pv, 0.0), 2),)
-
-    return SldResult(l, rank, v.shape[-2] - rank, defects)
-
-
 def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray | None,
-           eps_rank: float, name: str) -> SldResult:
+           eps_rank: float, name: str) -> tuple:
     """Solve (1/2){X, rho} = A rho + rho A^dag or (1/2){X, rho} = R for
     Hermitian X, on rho's decomposition (V, lam) (see _spectrum): A is any
     square matrix, or, for a None, R a Hermitian one, either with rho's
-    leading batch axis or none. A enters in its blocks on (V, lam):
-    V^dag (A rho + rho A^dag) V = A_vv lam + (A_vv lam)^dag with A_vv =
-    V^dag A V, and P (A rho + rho A^dag) V = P A V lam, so it is never
-    formed and T carries no roundoff divided by a small lam. name names
-    the operator in a dimension mismatch."""
+    leading batch axis or none; name names the operator in a dimension
+    mismatch. In O(d^2 r), from R's blocks R_vv = V^dag R V and R_pv =
+    P R V (P = 1 - V V^dag): L = V X V^dag + T V^dag + V T^dag, X_ij =
+    2 R_ij / (lam_i + lam_j) where that sum is above the cut and 0
+    elsewhere, and T = 2 R_pv diag(lam)^-1 on the support columns (none
+    for a square V). A enters in its blocks: R_vv = A_vv lam + (A_vv
+    lam)^dag with A_vv = V^dag A V, and R_pv = P A V lam, so it is never
+    formed and T carries no roundoff divided by a small lam. Returns L's
+    matrix, rho's rank (per equation) and the parts _result reads."""
     v, lam = _spectrum(rho, (r if a is None else a).shape[-1], name)
     vd = dagger(v)
     thin = v.shape[-1] < v.shape[-2]
@@ -157,7 +129,35 @@ def _solve(rho: DensityMatrix | np.ndarray, a: np.ndarray | None, r: np.ndarray 
         r_vv = r_vv + dagger(r_vv)
         if thin:
             r_pv = (av - v @ a_vv) * lam[..., None, :]
-    return _solve_support(v, lam, r_vv, r_pv, eps_rank)
+    on, cut = _support(lam, eps_rank)
+    denom = lam[..., :, None] + lam[..., None, :]
+    solvable = denom > cut[..., None]
+    x = np.divide(2.0 * r_vv, denom, out=np.zeros(r_vv.shape, complex), where=solvable)
+    rank, on = on.sum(axis=-1), on[..., None, :]
+    # with Y = V X + 2T, L = (Y V^dag + V Y^dag) / 2 = hermitian_part(Y V^dag)
+    y = v @ x
+    if r_pv is not None:
+        y += np.divide(4.0 * r_pv, lam[..., None, :], out=np.zeros(r_pv.shape, complex), where=on)
+    return hermitian_part(y @ vd), rank, (v, lam, r_vv, r_pv, solvable, on)
+
+
+def _result(l: np.ndarray, rank: np.ndarray, parts: tuple) -> SldResult:
+    """The SldResult of _solve's arrays, its residual read from the parts
+    on first use."""
+    v, lam, r_vv, r_pv, solvable, on = parts
+
+    def defects():
+        lv = l @ v
+        l_vv = dagger(v) @ lv
+        vv = 0.5 * (l_vv * lam[..., None, :] + lam[..., :, None] * l_vv) - r_vv
+        blocks = ((np.where(solvable, vv, 0.0), 1),)
+        if r_pv is None:
+            return blocks
+        pv = 0.5 * (lv - v @ l_vv) * lam[..., None, :] - r_pv
+        return blocks + ((np.where(on, pv, 0.0), 2),)
+
+    rank = _unbatched(rank)
+    return SldResult(_checked_hermitian(l), rank, v.shape[-2] - rank, defects)
 
 
 def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
@@ -172,7 +172,7 @@ def solve_sld_rhs(rho: DensityMatrix | np.ndarray, r: HermitianOperator,
     eigensolve, whose support-kernel block is empty. rho and R may carry a
     leading batch axis: one equation per slice. The R case of _solve.
     """
-    return _solve(_checked(rho), None, r.matrix, eps_rank, "rhs")
+    return _result(*_solve(_checked(rho), None, r.matrix, eps_rank, "rhs"))
 
 
 def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> SldResult:
@@ -180,7 +180,7 @@ def sld(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float =
     as solve_sld_rhs takes it: the case A = -iH of _solve, so
     -i[H, rho] enters in its blocks on (V, lam) and no commutator is
     formed."""
-    return _solve(_checked(rho), -1j * h.matrix, None, eps_rank, "H")
+    return _result(*_solve(_checked(rho), -1j * h.matrix, None, eps_rank, "H"))
 
 
 def qfi(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps_rank: float = EPS_RANK) -> float:
@@ -193,12 +193,19 @@ def qfi_from_sld(rho: DensityMatrix | np.ndarray, res: SldResult) -> float:
     rho = sum_k |w_k><w_k|, sum_k |L w_k|^2."""
     l = res.L.matrix
     if not isinstance(rho, DensityMatrix):
-        lw = l @ rho.swapaxes(-1, -2)
-        return _unbatched((lw * lw.conj()).real.sum(axis=(-2, -1)))
+        return _unbatched(_images_qfi(l, rho))
     shape = l.shape[:-2] + (1, -1)
     # Tr{rho L L} = sum_ij conj(L_ij) (rho L)_ij for Hermitian L
     value = l.conj().reshape(shape) @ (rho.matrix @ l).reshape(shape).swapaxes(-1, -2)
     return _unbatched(np.maximum(value[..., 0, 0].real, 0.0))
+
+
+def _images_qfi(l: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k |L w_k|^2 = Tr{rho L^2} for the images w_k, the rows of the
+    (..., r, d) stack w, of rho = sum_k |w_k><w_k| and the matrix L of
+    the same batch shape: one value per slice."""
+    lw = l @ w.swapaxes(-1, -2)
+    return (lw * lw.conj()).real.sum(axis=(-2, -1))
 
 
 def is_irreducible(rho: DensityMatrix | np.ndarray, h: HermitianOperator, eps: float = EPS_DEG) -> bool:

@@ -13,6 +13,7 @@ from qfimax import (
     HermitianOperator,
     OptimizerConfig,
     PureState,
+    SldResult,
     channel_adjoint_apply,
     channel_apply,
     commuting_derivative,
@@ -118,6 +119,21 @@ class TestStepWork:
         calls = count_calls(monkeypatch, "operators.max_eigvec")
         result = solve(route, ch, h, povm, OptimizerConfig(restarts=3, max_iters=6, tol=1e-300))
         assert calls == {"operators.max_eigvec": len(result.trace)}
+
+    # d=24, r=2 runs the covariant and general steps compressed
+    @pytest.mark.parametrize("d, r", [(4, 2), (24, 2)])
+    @pytest.mark.parametrize("route", ["qfi", "general", "cfi"])
+    def test_no_sld_result_inside_a_solve(self, route, d, r, monkeypatch):
+        # the step reads the SLD solve's arrays; only the public solve wraps them
+        ch, h, povm = instance(d, r)
+        calls = count_calls(monkeypatch, "operators.max_eigvec")
+        init = SldResult.__init__
+        monkeypatch.setattr(SldResult, "__init__",
+                            lambda res, *args: calls.update(["SldResult"]) or init(res, *args))
+        result = solve(route, ch, h, povm, OptimizerConfig(restarts=3, max_iters=6, tol=1e-300))
+        assert calls == {"operators.max_eigvec": len(result.trace)}
+        sld(channel_apply(ch, result.psi_star), h)
+        assert calls == {"operators.max_eigvec": len(result.trace), "SldResult": 1}
 
     def test_dense_covariant_step(self, monkeypatch):
         # per lockstep step, for all restarts at once: one eigensolve of the

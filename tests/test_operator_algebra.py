@@ -29,7 +29,7 @@ from qfimax import (
     validate,
 )
 from qfimax import operators
-from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_part
+from qfimax.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, hermitian_operator, hermitian_part
 
 from helpers import (
     anticommutator,
@@ -264,6 +264,13 @@ class TestMaxEigvec:
         psi, flag = max_eigvec(HermitianOperator(np.eye(2)))
         assert flag
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+    def test_one_by_one(self):
+        # a single eigenvalue has no neighbour to be degenerate with, alone or in a stack
+        psi, flag = max_eigvec(HermitianOperator(np.array([[-2.0]])))
+        assert psi.amplitudes.tolist() == [1.0] and flag is False
+        psi, flags = max_eigvec(hermitian_operator(np.array([[[3.0]], [[-1.0]]], dtype=complex)))
+        assert psi.amplitudes.tolist() == [[1.0], [1.0]] and flags.tolist() == [False, False]
 
     def test_tilted_qubit(self):
         # 2x2 closed form: top eigenvector of sz + 0.5 sx

@@ -318,6 +318,14 @@ class TestCliExitCodes:
         assert code == EXIT_VALIDATION and out == "" and not caught
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_unwritable_trace_csv(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(MINIMAL)
+        argv = ["qfi-max", "--problem", str(path), "--trace-csv", str(tmp_path / "missing" / "t.csv")]
+        code, out, err, caught = run_main_quietly(argv, capsys)
+        assert code == EXIT_VALIDATION and out == "" and not caught
+        assert len(err) == 1 and err[0].startswith("error: cannot write trace CSV: ")
+
     def test_non_finite_report_is_numeric_failure(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
         path.write_text(MINIMAL)
@@ -511,6 +519,27 @@ class TestBundledProblems:
             expected[f"{delta:g}"] = bayes_gaussian_fi(model, prior)
         assert list(report["details"]["bayes_sweep"].items()) == list(expected.items())
         assert report["f_star"] == expected[f"{bayes.delta_prior:g}"]
+
+
+    def test_bayes_check_keys_each_width_by_its_repr(self):
+        # 0.1 and 0.1000001 agree to 6 significant digits: each keeps its own entry
+        pf = parse_problem((PROBLEMS / "bayes_qubit.json").read_text())
+        bayes = dataclasses.replace(pf.bayes, delta_prior=0.1000001, sweep=(0.3, 0.1))
+        report = run_command("bayes-check", dataclasses.replace(pf, bayes=bayes))
+        expected = {}
+        for delta in (0.3, 0.1, 0.1000001):
+            prior = GaussianPrior(delta, bayes.grid_halfwidth, bayes.grid_points)
+            model = model_from_quantum(pf.channel, pf.generator, pf.input_state, pf.povm, prior.grid())
+            expected[repr(delta)] = bayes_gaussian_fi(model, prior)
+        assert list(report["details"]["bayes_sweep"]) == ["0.3", "0.1", "0.1000001"]
+        assert report["details"]["bayes_sweep"] == expected
+        assert expected["0.1"] != expected["0.1000001"]
+        assert report["f_star"] == expected["0.1000001"]
+        # an integer width and the equal float are one width, found under the first listed
+        bayes = dataclasses.replace(pf.bayes, delta_prior=1.0, sweep=(1, 0.3), grid_points=20001)
+        report = run_command("bayes-check", dataclasses.replace(pf, bayes=bayes))
+        assert list(report["details"]["bayes_sweep"]) == ["1", "0.3"]
+        assert report["f_star"] == report["details"]["bayes_sweep"]["1"]
 
 
 def _commands(doc):

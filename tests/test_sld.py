@@ -272,7 +272,8 @@ class TestImagesPath:
         # a non-Hermitian A in its blocks, against A rho + rho A^dag formed
         a = rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d))
         whole = hermitian_operator(a @ rho.matrix + rho.matrix @ dagger(a))
-        _assert_same_solve(sld_module._solve(w, a, None, 1e-12, "A"), solve_sld_rhs(rho, whole))
+        _assert_same_solve(sld_module._result(*sld_module._solve(w, a, None, 1e-12, "A")),
+                           solve_sld_rhs(rho, whole))
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_residual_is_the_defining_equation(self, d):
