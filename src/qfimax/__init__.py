@@ -58,10 +58,8 @@ from .cfi import (
 from .oracles import (
     DiscreteModel,
     GaussianPrior,
-    bayes_best_estimator,
     bayes_gaussian_fi,
     brute_force_max_qfi,
     model_from_quantum,
-    pure_state_qfi,
 )
-from .problem import ProblemFile, emit_problem, parse_problem
+from .problem import ProblemFile, parse_problem

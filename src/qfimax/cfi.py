@@ -149,11 +149,9 @@ def _heisenberg_rows(ch: QuantumChannel, h: HermitianOperator, povm: Povm) -> np
     mu the middle of H's spectrum, leaves [H, Pi_x] unchanged and keeps Z_x
     no larger than B_x needs."""
     r, d_out, d_in = ch.stack.shape
-    lam = h.eig.eigenvalues
-    ht = h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(d_out)
     k = ch.stack.swapaxes(0, 1).reshape(d_out, r * d_in)
     # rows (a, k) of [K_k; Ht K_k] against rows (a, k) of Y: the sum over k is one product
-    kk = np.concatenate((k.reshape(d_out * r, d_in), (ht @ k).reshape(d_out * r, d_in)), axis=1)
+    kk = np.concatenate((k.reshape(d_out * r, d_in), (h.centred @ k).reshape(d_out * r, d_in)), axis=1)
     kk = dagger(kk).copy()
     rows = np.empty((2, len(povm.stack), d_in, d_in), dtype=complex)
     for x, pi in enumerate(povm.stack):

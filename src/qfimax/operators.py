@@ -121,6 +121,15 @@ class HermitianOperator:
         (the operator is immutable)."""
         return hermitian_eig(self)
 
+    @cached_property
+    def centred(self) -> np.ndarray:
+        """The read-only matrix H - mu 1, mu the middle (lam_min + lam_max)
+        / 2 of the spectrum, computed on first use and kept."""
+        lam = self.eig.eigenvalues
+        m = self.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(self.dim)
+        m.setflags(write=False)
+        return m
+
     def eigenspaces(self, eps: float) -> tuple:
         """eigenspace_groups of this operator at resolution eps, computed
         once per eps and kept (the operator is immutable)."""
@@ -156,10 +165,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[-1]
-
-    def projector(self) -> DensityMatrix:
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
 
 
 def _frozen_stack(stack, ndim: int, msg: str) -> np.ndarray:
@@ -239,15 +244,6 @@ class DerivativeChannel:
     @property
     def dim_out(self) -> int:
         return self.stack.shape[2]
-
-    def apply(self, rho: np.ndarray | PureState) -> np.ndarray:
-        """sum_k A_k rho B_k^dag for a matrix rho, or for |psi><psi| given
-        the PureState psi (one matrix per probe of a stack psi)."""
-        a, b = self.stack
-        if isinstance(rho, PureState):
-            v = rho.amplitudes
-            return _images(a, v).swapaxes(-1, -2) @ _images(b, v).conj()
-        return _sandwich(a, rho, b)
 
 
 def _derivative_channel(stack: np.ndarray) -> DerivativeChannel:
@@ -392,10 +388,10 @@ def kraus_images(ch: QuantumChannel, psi: PureState) -> np.ndarray:
     return _images(ch.stack, psi.amplitudes)
 
 
-def mixture(w: np.ndarray) -> DensityMatrix:
-    """sum_k |w_k><w_k| for an (r, d) stack of vectors w_k, or one such
-    sum per (r, d) slice of a (b, r, d) stack."""
-    return _wrap(DensityMatrix, matrix=hermitian_part(w.swapaxes(-1, -2) @ w.conj()))
+def mixture(w: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrix sum_k |w_k><w_k| for an (r, d) stack of
+    vectors w_k, or one such matrix per (r, d) slice of a (b, r, d) stack."""
+    return hermitian_part(w.swapaxes(-1, -2) @ w.conj())
 
 
 def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> DensityMatrix:
@@ -406,7 +402,7 @@ def channel_apply(ch: QuantumChannel, rho: DensityMatrix | PureState) -> Density
     require_valid(ch, "channel")
     require_valid(rho, "input state")
     if isinstance(rho, PureState):
-        m = mixture(kraus_images(ch, rho)).matrix
+        m = mixture(kraus_images(ch, rho))
     elif ch.dim_in != rho.dim:
         raise DimensionMismatch(f"channel expects dim {ch.dim_in}, state has dim {rho.dim}")
     else:

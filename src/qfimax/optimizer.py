@@ -460,8 +460,7 @@ def _covariant_update(ch: QuantumChannel, h: HermitianOperator, cfg: OptimizerCo
     -iHt K_k. The centring keeps the two terms of the completed square no
     larger than M needs: for H + c 1 unshifted both grow as c^2 and their
     difference loses digits."""
-    lam = h.eig.eigenvalues
-    return _update(ch, cfg, a=-1j * (h.matrix - 0.5 * (lam[0] + lam[-1]) * np.eye(h.dim)))
+    return _update(ch, cfg, a=-1j * h.centred)
 
 
 def _general_update(ch: QuantumChannel, dch: DerivativeChannel, cfg: OptimizerConfig):

@@ -1,7 +1,7 @@
 """Independent ground-truth generators: brute-force pure-state search,
 scored by the eigenbasis QFI formula or, for qubit outputs, by its Bloch
-closed form; pure-state closed forms; and the Gaussian-prior Bayesian Fisher
-information with its deterministic-prior limit.
+closed form; and the Gaussian-prior Bayesian Fisher information with its
+deterministic-prior limit.
 
 These deliberately avoid the alternating optimizer's code path so they can
 serve as cross-checks for it.
@@ -87,15 +87,6 @@ class GaussianPrior:
     def pdf(self, phis: np.ndarray) -> np.ndarray:
         s = self.delta_prior
         return np.exp(-0.5 * (phis / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
-
-
-def pure_state_qfi(psi: PureState, h: HermitianOperator) -> float:
-    """Closed form 4(<H^2> - <H>^2) for pure probe states."""
-    v = psi.amplitudes
-    hv = h.matrix @ v
-    mean = float(np.real(v.conj() @ hv))
-    second = float(np.real(hv.conj() @ hv))
-    return 4.0 * max(second - mean * mean, 0.0)
 
 
 def eigenbasis_qfi(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -187,7 +178,7 @@ def brute_force_max_qfi(ch: QuantumChannel, h: HermitianOperator,
         values = np.empty(len(probes))
         for start in range(0, len(probes), block):
             w = np.matmul(ch.stack, probes[start:start + block].T).transpose(2, 0, 1)
-            values[start:start + block] = eigenbasis_qfi(mixture(w).matrix, h.matrix)
+            values[start:start + block] = eigenbasis_qfi(mixture(w), h.matrix)
     i = best_index(values)
     return float(values[i]), PureState(probes[i])
 
@@ -243,11 +234,6 @@ def _smoothed(model: DiscreteModel, prior: GaussianPrior):
     denom = np.trapezoid(g * model.probs, phis, axis=0)
     num = np.trapezoid(g * model.probs * phis[:, None], phis, axis=0)
     return g, denom, np.divide(num, denom, out=np.zeros_like(denom), where=denom >= 1e-300)
-
-
-def bayes_best_estimator(model: DiscreteModel, prior: GaussianPrior) -> np.ndarray:
-    """Conditional-mean estimator per outcome, by trapezoidal quadrature."""
-    return _smoothed(model, prior)[2]
 
 
 def bayes_gaussian_fi(model: DiscreteModel, prior: GaussianPrior) -> float:

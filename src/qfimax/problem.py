@@ -1,4 +1,4 @@
-"""Problem-file ingestion and emission.
+"""Problem-file ingestion, and the [re, im] encoding that reports share.
 
 A problem is a single JSON document. Complex scalars are encoded as
 [re, im] pairs and matrices as row-major arrays of such pairs, so fixtures
@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -303,24 +303,3 @@ def _parse_problem(text: str | bytes) -> ProblemFile:
     optimizer = decode_optimizer(doc.get("optimizer", {}), input_state)
     bayes = decode_bayes(doc["bayes"]) if "bayes" in doc else None
     return ProblemFile(dim, generator, channel, povm, dch, input_state, optimizer, bayes, text)
-
-
-def emit_problem(pf: ProblemFile) -> str:
-    """Serialize a problem back to canonical JSON with every operator resolved
-    to explicit matrices; re-parsing the output yields the same structure."""
-    doc = {
-        "dim": pf.dim,
-        "generator": encode_array(pf.generator.matrix),
-        "channel": {"kraus": encode_array(pf.channel.stack)},
-    }
-    if pf.povm is not None:
-        doc["povm"] = {"elements": encode_array(pf.povm.stack), "labels": list(pf.povm.labels)}
-    if pf.input_state is not None:
-        doc["input_state"] = encode_array(pf.input_state.amplitudes)
-    if pf.derivative_channel is not None:
-        pairs = pf.derivative_channel.stack.swapaxes(0, 1)  # [A_k, B_k] pairs
-        doc["derivative_channel"] = {"terms": encode_array(pairs)}
-    doc["optimizer"] = {k: getattr(pf.optimizer, k) for k in OPTIMIZER_FIELDS}
-    if pf.bayes is not None:
-        doc["bayes"] = asdict(pf.bayes)
-    return json.dumps(doc, indent=2, sort_keys=True)

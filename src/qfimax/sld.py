@@ -25,7 +25,6 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     _checked_hermitian,
-    _eigh,
     _unbatched,
     dagger,
     hermitian_part,
@@ -84,8 +83,7 @@ def _spectrum(rho: DensityMatrix | np.ndarray, dim: int, name: str):
     if not isinstance(rho, DensityMatrix) and rho.shape[-2] < rho.shape[-1]:
         _, s, vh = np.linalg.svd(rho, full_matrices=False)
         return vh.swapaxes(-1, -2), s * s
-    m = rho.matrix if isinstance(rho, DensityMatrix) else mixture(rho).matrix
-    lam, v = _eigh(_checked_hermitian(m))
+    lam, v = np.linalg.eigh(rho.matrix if isinstance(rho, DensityMatrix) else mixture(rho))
     # contiguous: each product with a reversed-stride view is slower than one copy
     return v[..., ::-1].copy(), lam[..., ::-1]
 

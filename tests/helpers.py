@@ -1,4 +1,8 @@
-"""Shared random-instance generators and matrix helpers for the test suite."""
+"""Shared random-instance generators, matrix helpers and reference
+implementations for the test suite."""
+
+import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -7,12 +11,15 @@ from qfimax import (
     DimensionMismatch,
     HermitianOperator,
     Povm,
+    PureState,
     QuantumChannel,
     channel_adjoint_apply,
     objective_g,
     x_moment,
 )
-from qfimax.operators import hermitian_commutator, hermitian_operator
+from qfimax.operators import _images, _sandwich, _wrap, hermitian_commutator, hermitian_operator, mixture
+from qfimax.oracles import _smoothed
+from qfimax.problem import OPTIMIZER_FIELDS, encode_array
 
 
 def commutator(a, b):
@@ -60,6 +67,63 @@ def cfi_objective(psi, d, ch, h, povm):
 def hs_norm(a):
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(a))
+
+
+def mixed_state(w):
+    """The DensityMatrix sum_k |w_k><w_k| of an (r, d) stack of vectors w_k,
+    or one per (r, d) slice of a (b, r, d) stack."""
+    return _wrap(DensityMatrix, matrix=mixture(w))
+
+
+def projector(psi):
+    """|psi><psi| as a DensityMatrix."""
+    v = psi.amplitudes
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def derivative_apply(dch, x):
+    """sum_k A_k x B_k^dag for a matrix x, or for |psi><psi| given the
+    PureState psi (one matrix per probe of a stack psi)."""
+    a, b = dch.stack
+    if isinstance(x, PureState):
+        v = x.amplitudes
+        return _images(a, v).swapaxes(-1, -2) @ _images(b, v).conj()
+    return _sandwich(a, x, b)
+
+
+def pure_state_qfi(psi, h):
+    """Closed form 4(<H^2> - <H>^2) for pure probe states."""
+    v = psi.amplitudes
+    hv = h.matrix @ v
+    mean = float(np.real(v.conj() @ hv))
+    second = float(np.real(hv.conj() @ hv))
+    return 4.0 * max(second - mean * mean, 0.0)
+
+
+def bayes_best_estimator(model, prior):
+    """Conditional-mean estimator per outcome, by trapezoidal quadrature."""
+    return _smoothed(model, prior)[2]
+
+
+def emit_problem(pf):
+    """Serialize a problem back to canonical JSON with every operator resolved
+    to explicit matrices; re-parsing the output yields the same structure."""
+    doc = {
+        "dim": pf.dim,
+        "generator": encode_array(pf.generator.matrix),
+        "channel": {"kraus": encode_array(pf.channel.stack)},
+    }
+    if pf.povm is not None:
+        doc["povm"] = {"elements": encode_array(pf.povm.stack), "labels": list(pf.povm.labels)}
+    if pf.input_state is not None:
+        doc["input_state"] = encode_array(pf.input_state.amplitudes)
+    if pf.derivative_channel is not None:
+        pairs = pf.derivative_channel.stack.swapaxes(0, 1)  # [A_k, B_k] pairs
+        doc["derivative_channel"] = {"terms": encode_array(pairs)}
+    doc["optimizer"] = {k: getattr(pf.optimizer, k) for k in OPTIMIZER_FIELDS}
+    if pf.bayes is not None:
+        doc["bayes"] = asdict(pf.bayes)
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def random_hermitian(dim, rng, scale=1.0):

@@ -40,10 +40,17 @@ from qfimax.oracles import (
     bayes_gaussian_fi,
     brute_force_max_qfi,
     model_from_quantum,
-    pure_state_qfi,
 )
 
-from helpers import cfi_objective, hs_norm, random_channel, random_density, random_hermitian, random_povm
+from helpers import (
+    cfi_objective,
+    hs_norm,
+    projector,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_povm,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
@@ -82,7 +89,7 @@ def test_criterion_02_commuting_noise(announce):
         start = time.perf_counter()
         result = optimize(ch, H_Z)
         elapsed = time.perf_counter() - start
-        l = sld(channel_apply(ch, PLUS.projector()), H_Z).L.matrix
+        l = sld(channel_apply(ch, projector(PLUS)), H_Z).L.matrix
         ok = (
             ok
             and abs(result.f_star - eta ** 2) <= 1e-6
@@ -151,7 +158,7 @@ def test_criterion_06_estimator_coefficient_identity(announce):
         h = random_hermitian(dim, rng)
         povm = random_povm(dim, rng)
         psi = haar_state(dim, rng)
-        rho = channel_apply(ch, psi.projector())
+        rho = channel_apply(ch, projector(psi))
         d_opt = optimal_d(rho, h, povm)
         best = cfi_objective(psi, d_opt, ch, h, povm)
         direct = classical_fi(outcome_statistics(rho, h, povm))
@@ -180,7 +187,7 @@ def test_criterion_08_bayesian_limit(announce):
     ch = identity_channel(2)
     ok = True
     for povm, phi0 in ((pauli_basis_povm("y"), 0.0), (pauli_basis_povm("x"), np.pi / 4.0)):
-        rho0 = channel_apply(ch, PLUS.projector()).matrix
+        rho0 = channel_apply(ch, projector(PLUS)).matrix
         u = np.diag(np.exp(-1j * phi0 * np.diag(H_Z.matrix)))
         rho = DensityMatrix(u @ rho0 @ u.conj().T)
         direct = classical_fi(outcome_statistics(rho, H_Z, povm))

@@ -32,12 +32,13 @@ from qfimax.operators import (
     channel_adjoint_apply,
     haar_state,
     kraus_images,
-    mixture,
 )
 
 from helpers import (
     cfi_objective,
     cfi_operator,
+    mixed_state,
+    projector,
     random_channel,
     random_density,
     random_hermitian,
@@ -57,12 +58,12 @@ class TestOutcomeStatistics:
 
     def test_sigma_y_basis_derivatives(self):
         # -i[H, rho] = sy/2; hand trace against the sy projectors
-        stats = outcome_statistics(PLUS.projector(), H_Z, pauli_basis_povm("y"))
+        stats = outcome_statistics(projector(PLUS), H_Z, pauli_basis_povm("y"))
         np.testing.assert_allclose(stats.probs, [0.5, 0.5], atol=1e-14)
         np.testing.assert_allclose(stats.dprobs, [0.5, -0.5], atol=1e-14)
 
     def test_computational_basis_is_blind(self):
-        stats = outcome_statistics(PLUS.projector(), H_Z, basis_povm(2))
+        stats = outcome_statistics(projector(PLUS), H_Z, basis_povm(2))
         np.testing.assert_allclose(stats.dprobs, [0.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("probs, dprobs, what", [
@@ -90,15 +91,15 @@ class TestClassicalFi:
 
 class TestOptimalD:
     def test_commuting_state(self):
-        assert np.all(optimal_d(PLUS.projector(), H_Z, basis_povm(2)).values == 0.0)
+        assert np.all(optimal_d(projector(PLUS), H_Z, basis_povm(2)).values == 0.0)
 
     def test_sigma_y_basis(self):
-        d = optimal_d(PLUS.projector(), H_Z, pauli_basis_povm("y"))
+        d = optimal_d(projector(PLUS), H_Z, pauli_basis_povm("y"))
         np.testing.assert_allclose(d.values, [1.0, -1.0], atol=1e-13)
 
     def test_zero_probability_coefficient_is_zero(self):
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), ("0", "1"))
-        rho = PureState(np.array([1.0, 0.0])).projector()
+        rho = projector(PureState(np.array([1.0, 0.0])))
         d = optimal_d(rho, HermitianOperator(SIGMA_X), povm)
         assert d.values[1] == 0.0
 
@@ -136,7 +137,7 @@ class TestCfiObjective:
 
     def test_optimal_coefficients_reach_classical_fi(self):
         povm = pauli_basis_povm("y")
-        rho = channel_apply(identity_channel(2), PLUS.projector())
+        rho = channel_apply(identity_channel(2), projector(PLUS))
         d = optimal_d(rho, H_Z, povm)
         direct = classical_fi(outcome_statistics(rho, H_Z, povm))
         val = cfi_objective(PLUS, d, identity_channel(2), H_Z, povm)
@@ -145,7 +146,7 @@ class TestCfiObjective:
     def test_random_coefficients_are_suboptimal(self):
         rng = np.random.default_rng(9)
         povm = pauli_basis_povm("y")
-        rho = PLUS.projector()
+        rho = projector(PLUS)
         best = cfi_objective(PLUS, optimal_d(rho, H_Z, povm), identity_channel(2), H_Z, povm)
         for _ in range(50):
             d = EstimatorCoefficients(rng.standard_normal(2), povm.labels)
@@ -211,7 +212,7 @@ class TestHeisenbergStep:
         psi = _wrap(PureState, amplitudes=np.stack([haar_state(d_in, rng).amplitudes for _ in range(3)]))
         w = kraus_images(ch, psi)
         f, m, deficits = cfi._fixed_measurement_update(ch, h, povm)(psi)
-        rho = mixture(w)
+        rho = mixed_state(w)
         stats = outcome_statistics(rho, h, povm)
         if r * d_in < d_out:
             assert np.all(stats.probs[:, 0] <= EPS_PROB)

@@ -26,17 +26,22 @@ from qfimax import (
 )
 from qfimax.channels import identity_channel, pauli_basis_povm
 from qfimax import optimizer, oracles
-from qfimax.operators import FactoredOperator, haar_state, hermitian_operator, mixture
+from qfimax.operators import FactoredOperator, haar_state, hermitian_operator
 from qfimax.sld import qfi_from_sld
 
-from helpers import random_channel, random_hermitian, random_povm
+from helpers import mixed_state, random_channel, random_hermitian, random_povm
 
 # (d, r, max_iters). Dense sizes first: at (4, 2) the restarts stop at
 # different steps, at (6, 3) the covariant ones partly at the cap. Then
-# compressed covariant sizes (d >= 24, 6r <= d): (24, 2) takes the top
+# compressed covariant sizes (d >= 24, 8r <= d): (24, 2) takes the top
 # eigenvector from the small side and its restarts converge at different
-# steps or meet the cap; (24, 4) forms the compressed operator.
-CASES = [(4, 2, 1000), (6, 3, 50), (24, 2, 150), (24, 4, 30)]
+# steps or meet the cap; (24, 3) forms the compressed operator (r * 4r >= d).
+CASES = [(4, 2, 1000), (6, 3, 50), (24, 2, 150), (24, 3, 30)]
+# the operator M that the channel routes' steps hand max_eigvec at (d, r): a
+# HermitianOperator ("dense"), or a FactoredOperator that max_eigvec forms
+# ("formed") or eigensolves from its small side ("factored"); the fixed-POVM
+# route's M is always dense
+PATHS = {(4, 2): "dense", (6, 3): "dense", (24, 2): "factored", (24, 3): "formed"}
 ROUTES = ("qfi", "general", "cfi")
 
 
@@ -46,6 +51,13 @@ def solve(route, ch, h, povm, cfg):
     if route == "general":
         return optimize_general(ch, commuting_derivative(ch, h), cfg)
     return optimize_fixed_measurement(ch, h, povm, cfg)
+
+
+def path(op):
+    if not isinstance(op, FactoredOperator):
+        return "dense"
+    r, m, n = op.factors.shape[-3:]
+    return "formed" if r * m >= n else "factored"
 
 
 def rows(records):
@@ -67,9 +79,17 @@ def test_each_restart_is_its_own_solve(route, d, r, max_iters, monkeypatch):
         steps.append(arrays)
         return psi_next, arrays
 
+    paths = set()  # the path of every step's M
+
+    def top(m, eps_deg):
+        paths.add(path(m))
+        return max_eigvec(m, eps_deg)
+
     monkeypatch.setattr(optimizer, "_lockstep", recorded)
+    monkeypatch.setattr(optimizer, "max_eigvec", top)
     batched = solve(route, ch, h, povm, cfg)
     monkeypatch.undo()
+    assert paths == {"dense" if route == "cfi" else PATHS[d, r]}
     iterations = batched.restart_iterations
     assert len(steps) == max(iterations)
 
@@ -158,7 +178,7 @@ def test_stacked_kernels_are_their_single_calls():
     c[1, :, 2:] = 0.0  # an output inside the first eigenspace of h: reducible
     w = c @ u.T
     w /= np.linalg.norm(w, axis=(1, 2), keepdims=True)
-    rho = mixture(w)
+    rho = mixed_state(w)
     res = sld(rho, h)
     g = rng.standard_normal((b, 2, 2)) + 1j * rng.standard_normal((b, 2, 2))
     g[2] = -np.eye(2) - g[2] @ g[2].conj().T  # negative definite: the top eigenvalue is 0

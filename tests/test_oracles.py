@@ -14,7 +14,6 @@ from qfimax import (
     QuantumChannel,
     ValidationError,
     Povm,
-    bayes_best_estimator,
     bayes_gaussian_fi,
     brute_force_max_qfi,
     channel_apply,
@@ -24,7 +23,6 @@ from qfimax import (
     model_from_quantum,
     outcome_statistics,
     pauli_basis_povm,
-    pure_state_qfi,
     qfi,
     sld,
     unitary_channel,
@@ -35,7 +33,15 @@ from qfimax.optimizer import EPS_TIE
 from qfimax.oracles import MAX_GRID_POINTS, bloch_grid, bloch_qfi, eigenbasis_qfi, search_probes
 from qfimax.problem import parse_problem
 
-from helpers import random_channel, random_density, random_hermitian, random_povm
+from helpers import (
+    bayes_best_estimator,
+    projector,
+    pure_state_qfi,
+    random_channel,
+    random_density,
+    random_hermitian,
+    random_povm,
+)
 
 H_Z = HermitianOperator(SIGMA_Z / 2.0)
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -159,7 +165,7 @@ class TestModelFromQuantum:
         povm = pauli_basis_povm("y")
         model = model_from_quantum(identity_channel(2), H_Z, PLUS, povm,
                                    np.linspace(-0.1, 0.1, 5))
-        stats = outcome_statistics(PLUS.projector(), H_Z, povm)
+        stats = outcome_statistics(projector(PLUS), H_Z, povm)
         np.testing.assert_allclose(model.probs[2], stats.probs, atol=1e-12)
 
     def test_rotation_closed_form(self):
@@ -210,7 +216,7 @@ class TestOracleConsistency:
         ch = dephasing_channel(0.7)
         model = model_from_quantum(ch, H_Z, PLUS, povm, prior.grid())
         bayes = bayes_gaussian_fi(model, prior)
-        direct = classical_fi(outcome_statistics(channel_apply(ch, PLUS.projector()), H_Z, povm))
+        direct = classical_fi(outcome_statistics(channel_apply(ch, projector(PLUS)), H_Z, povm))
         assert bayes == pytest.approx(direct, abs=1e-3)
 
 
@@ -333,13 +339,13 @@ class TestEigenbasisQfi:
     def test_pure_states_match_closed_form(self, dim, seed):
         rng = np.random.default_rng(seed)
         psi, h = haar_state(dim, rng), random_hermitian(dim, rng)
-        assert float(eigenbasis_qfi(psi.projector().matrix, h.matrix)) == \
+        assert float(eigenbasis_qfi(projector(psi).matrix, h.matrix)) == \
             pytest.approx(pure_state_qfi(psi, h), rel=1e-10)
 
     @pytest.mark.parametrize("case", range(7))
     def test_qubit_closed_form_matches(self, case):
         name, w, h = _qubit_cases()[case]
-        ref = eigenbasis_qfi(mixture(w).matrix, h)
+        ref = eigenbasis_qfi(mixture(w), h)
         got = bloch_qfi(w.transpose(1, 2, 0), h)  # the closed form reads probes last
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)), name
         if name == "pure":
@@ -450,7 +456,7 @@ class TestBatchedBruteForce:
         val, psi = brute_force_max_qfi(ch, h, n_samples=2000, seed=seed)
         probes = search_probes(ch.dim_in, 2000, seed)
         w = kraus_images(ch, _wrap(PureState, amplitudes=probes))
-        values = eigenbasis_qfi(mixture(w).matrix, h.matrix)
+        values = eigenbasis_qfi(mixture(w), h.matrix)
         best = values.max()
         i = int(np.argmax(values >= best - EPS_TIE * max(1.0, abs(best))))
         assert val == pytest.approx(values[i], rel=1e-12)

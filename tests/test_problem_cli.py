@@ -15,8 +15,10 @@ from qfimax.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, run_command
 from qfimax.cfi import classical_fi, outcome_statistics
 from qfimax.operators import channel_apply
 from qfimax.oracles import GaussianPrior, bayes_gaussian_fi, brute_force_max_qfi, model_from_quantum
-from qfimax.problem import emit_problem, encode_array
+from qfimax.problem import encode_array
 from qfimax.sld import qfi
+
+from helpers import derivative_apply, emit_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -96,7 +98,7 @@ class TestParseProblem:
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         h = pf.generator.matrix
         expected = -1j * (h @ rho - rho @ h)
-        np.testing.assert_allclose(pf.derivative_channel.apply(rho), expected, atol=1e-12)
+        np.testing.assert_allclose(derivative_apply(pf.derivative_channel, rho), expected, atol=1e-12)
 
     @pytest.mark.parametrize("text", [MINIMAL, problem_text(extra_knob=1)])
     @pytest.mark.parametrize("enabled", [True, False])

@@ -25,7 +25,15 @@ from qfimax.operators import (
 )
 from qfimax.sld import qfi_from_sld
 
-from helpers import commutator, hs_norm, random_density, random_hermitian, random_unitary
+from helpers import (
+    commutator,
+    hs_norm,
+    mixed_state,
+    projector,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 # the package's `sld` attribute is the function, not the module
 sld_module = importlib.import_module("qfimax.sld")
@@ -42,7 +50,7 @@ class TestSolveSldRhs:
         assert res.rank == 2 and res.support_dim_deficit == 0
 
     def test_pure_state_rank_one(self):
-        rho = PLUS.projector()
+        rho = projector(PLUS)
         rhs = HermitianOperator(hermitian_part(-1j * commutator(SIGMA_Z / 2.0, rho.matrix)))
         res = solve_sld_rhs(rho, rhs)
         # solved by hand in the |+/-> eigenbasis; equals -2i[H, rho]
@@ -74,7 +82,7 @@ class TestSld:
         np.testing.assert_allclose(res.L.matrix, 0.0, atol=1e-14)
 
     def test_pure_state_identity(self):
-        res = sld(PLUS.projector(), H_Z)
+        res = sld(projector(PLUS), H_Z)
         np.testing.assert_allclose(res.L.matrix, SIGMA_Y, atol=1e-14)
 
     def test_bloch_x_mixed_state(self):
@@ -89,7 +97,7 @@ class TestQfi:
         assert qfi(DensityMatrix(np.diag([0.7, 0.3])), H_Z) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_plus_state(self):
-        assert qfi(PLUS.projector(), H_Z) == pytest.approx(1.0, abs=1e-12)
+        assert qfi(projector(PLUS), H_Z) == pytest.approx(1.0, abs=1e-12)
 
     def test_bloch_x_mixed_state(self):
         rho = DensityMatrix(0.5 * (I2 + 0.8 * SIGMA_X))
@@ -101,7 +109,7 @@ class TestIrreducibility:
         assert not is_irreducible(DensityMatrix(I2 / 2.0), HermitianOperator(SIGMA_Z))
 
     def test_coherent_state_irreducible(self):
-        assert is_irreducible(PLUS.projector(), HermitianOperator(SIGMA_Z))
+        assert is_irreducible(projector(PLUS), HermitianOperator(SIGMA_Z))
 
     def test_block_structure_dim3(self):
         # rho couples levels 0 and 1 but leaves level 2 in its own block
@@ -215,7 +223,7 @@ class TestSldProperties:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         psi = PureState(z / np.linalg.norm(z))
         h = random_hermitian(dim, rng)
-        rho = psi.projector()
+        rho = projector(psi)
         res = sld(rho, h)
         expected = hermitian_part(-2j * commutator(h.matrix, rho.matrix))
         assert np.max(np.abs(res.L.matrix - expected)) <= 1e-9
@@ -262,7 +270,7 @@ class TestImagesPath:
     def test_matches_the_dense_solve(self, batch, r, d):
         rng = np.random.default_rng(100 * r + d)
         w = _images(batch + (r, d), rng)
-        rho = mixture(w)
+        rho = mixed_state(w)
         h = random_hermitian(d, rng)
         _assert_same_solve(sld(w, h), sld(rho, h))
         rhs = hermitian_operator(rng.standard_normal(batch + (d, d)) + 1j * rng.standard_normal(batch + (d, d)))
@@ -281,7 +289,7 @@ class TestImagesPath:
         # defect (1/2){L, rho} - R is the residual
         rng = np.random.default_rng(d)
         w = _images((2, d), rng)
-        rho, h = mixture(w).matrix, random_hermitian(d, rng)
+        rho, h = mixture(w), random_hermitian(d, rng)
         res = sld(w, h)
         l = res.L.matrix
         defect = 0.5 * (l @ rho + rho @ l) + 1j * commutator(h.matrix, rho)
@@ -297,9 +305,9 @@ class TestImagesPath:
         h = random_hermitian(6, rng)
         res = sld(w, h)
         assert (res.rank, res.support_dim_deficit) == (1, 5)
-        _assert_same_solve(res, sld(mixture(w), h))
+        _assert_same_solve(res, sld(mixed_state(w), h))
         psi = PureState(a / np.linalg.norm(a))
-        assert qfi_from_sld(w, res) == pytest.approx(qfi(psi.projector(), h), rel=1e-12)
+        assert qfi_from_sld(w, res) == pytest.approx(qfi(projector(psi), h), rel=1e-12)
 
     @pytest.mark.parametrize("ratio, rank", [(4.0, 2), (0.25, 1)])
     def test_singular_value_at_the_cut(self, ratio, rank):
@@ -312,7 +320,7 @@ class TestImagesPath:
         lam /= lam.sum()
         w = (v * np.sqrt(lam) @ u.conj().T).T  # rows w_k: W = V diag(s) U^dag
         h = random_hermitian(d, rng)
-        rho = mixture(w)
+        rho = mixed_state(w)
         rhs = hermitian_operator(-1j * commutator(h.matrix, rho.matrix))
         dense = sld(rho, h, eps_rank)
         # the images (thin V) and the DensityMatrix (square V)
