@@ -102,7 +102,7 @@ class HermitianOperator:
 
     matrix: np.ndarray
     # True on an operator that require_valid passed or the library made
-    # exactly Hermitian (not a field); hermitian_eig checks only the others
+    # exactly Hermitian (not a field); require_valid checks only the others
     _valid = False
 
     def __post_init__(self):
@@ -246,11 +246,12 @@ class DerivativeChannel:
         return self.stack.shape[2]
 
 
-def _derivative_channel(stack: np.ndarray) -> DerivativeChannel:
+def _derivative_channel(stack: np.ndarray, valid: bool = False) -> DerivativeChannel:
     """The DerivativeChannel of a (2, p, dim_out, dim_in) pair stack the
-    library has just made, held read-only without a copy or a check."""
+    library has just made, held read-only without a copy or a check, and
+    marked valid (require_valid passes it) if `valid`."""
     stack.setflags(write=False)  # first: the views in terms inherit the flag
-    return _wrap(DerivativeChannel, terms=tuple(zip(stack[0], stack[1])), stack=stack)
+    return _wrap(DerivativeChannel, terms=tuple(zip(stack[0], stack[1])), stack=stack, _valid=valid)
 
 
 @dataclass(frozen=True)
@@ -424,7 +425,8 @@ def derivative_adjoint_apply(dch: DerivativeChannel, a: HermitianOperator) -> He
     The raw adjoint X of a genuine channel-family derivative is Hermitian
     up to roundoff; a relative asymmetry max |X - X^dag| / max(1, max |X|)
     (the largest over a stack) beyond EPS_ADJOINT_HERM signals a bad pair
-    list.
+    list. The check is for outside callers: the alternating step, whose map
+    optimize_general requires valid, forms this sum without it.
     """
     if dch.dim_out != a.dim:
         raise DimensionMismatch(
@@ -452,23 +454,14 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 
-def _eigh(a: HermitianOperator) -> tuple:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a (of
-    each matrix of a stack), in no phase convention: for callers that read
-    no eigenvector's phase, or fix it on the columns they keep. An operator
-    the library made is known to be Hermitian; any other is checked."""
-    if not a._valid and a.herm_residual() > EPS_HERM * max(1.0, max_abs(a.matrix)):
-        raise ValidationError(f"hermitian_eig: input not Hermitian (residual {a.herm_residual():.3e})")
-    return np.linalg.eigh(a.matrix)
-
-
 def hermitian_eig(a: HermitianOperator) -> EigenDecomposition:
     """Eigendecomposition with ascending eigenvalues and a deterministic
     phase convention: the largest-magnitude component of each eigenvector
     is made real and positive (ties broken by lowest index); one per
     matrix of a stack. An operator the library made is known to be
-    Hermitian; any other is checked."""
-    w, v = _eigh(a)
+    Hermitian; any other is required valid."""
+    require_valid(a)
+    w, v = np.linalg.eigh(a.matrix)
     v = _phase_fixed(v.swapaxes(-1, -2)).swapaxes(-1, -2)  # the eigenvectors, columns of v, as rows
     return _wrap(EigenDecomposition, eigenvalues=w, eigenvectors=v)
 
@@ -497,7 +490,8 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = EPS_DEG
     eigenvector u of S or, when every eigenvalue of S is negative, the
     first kernel column of the complete QR of C^dag. The degeneracy flag
     counts the kernel's 0. Either way the vector returned is phase-fixed
-    as hermitian_eig does, and only that vector is.
+    as hermitian_eig does, and only that vector is. A HermitianOperator
+    the library did not make is required valid.
     """
     if isinstance(a, FactoredOperator):
         r, m, n = a.factors.shape[-3:]
@@ -508,7 +502,7 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = EPS_DEG
             p, rr = np.linalg.qr(cd)
             gr = a.core.matrix[..., None, :, :] @ dagger(rr).reshape(rr.shape[:-2] + (r, m, r * m))
             s = rr @ gr.reshape(gr.shape[:-3] + (r * m, r * m))
-            w, u = _eigh(hermitian_operator(s))
+            w, u = np.linalg.eigh(hermitian_part(s))
             v = p @ u[..., -1:]
             degenerate = w[..., -1] - w[..., -2:-1].max(axis=-1, initial=0.0) <= eps_deg
             kernel = ~(w[..., -1] >= 0.0)  # the top eigenvalue is the kernel's 0
@@ -517,7 +511,8 @@ def max_eigvec(a: HermitianOperator | FactoredOperator, eps_deg: float = EPS_DEG
                 v = np.where(kernel[..., None, None], q, v)
                 degenerate = np.where(kernel, (n - r * m > 1) | (-w[..., -1] <= eps_deg), degenerate)
             return _wrap(PureState, amplitudes=_phase_fixed(v[..., 0])), _unbatched(degenerate)
-    w, v = _eigh(a)
+    require_valid(a)
+    w, v = np.linalg.eigh(a.matrix)
     # a 1 x 1 operator's only eigenvalue is not degenerate
     degenerate = w[..., -1] - w[..., -2] <= eps_deg if a.dim > 1 else np.zeros(w.shape[:-1], bool)
     return _wrap(PureState, amplitudes=_phase_fixed(v[..., -1])), _unbatched(degenerate)
@@ -546,7 +541,11 @@ def finite_difference_derivative(family, phi0: float = 0.0, delta: float = 1e-5)
 
 
 def commuting_derivative(ch: QuantumChannel, h: HermitianOperator) -> DerivativeChannel:
-    """Exact derivative at phi=0 of the family e^{-i phi H} ch(.) e^{i phi H}."""
+    """Exact derivative at phi=0 of the family e^{-i phi H} ch(.) e^{i phi H},
+    for a generator h required valid. Its pairs (-iHK_k, K_k), (K_k, -iHK_k)
+    map X to -i[H, sum_k K_k X K_k^dag], which preserves Hermiticity and
+    annihilates the trace for any Kraus list, so the map is marked valid."""
+    require_valid(h, "generator")
     if ch.dim_out != h.dim:
         raise DimensionMismatch("generator dimension must match channel output dimension")
     hk = -1j * (h.matrix @ ch.stack)
@@ -554,7 +553,7 @@ def commuting_derivative(ch: QuantumChannel, h: HermitianOperator) -> Derivative
     stack = np.empty((2, 2 * len(hk)) + hk.shape[1:], dtype=complex)
     stack[0, 0::2] = stack[1, 1::2] = hk
     stack[0, 1::2] = stack[1, 0::2] = ch.stack
-    return _derivative_channel(stack)
+    return _derivative_channel(stack, valid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +587,11 @@ def _over(invariant: str, residual: float, eps: float) -> list:
     return [] if residual <= eps else [Violation(invariant, residual)]
 
 
+def _relative(eps: float, size: float) -> float:
+    """eps * max(1, size); a non-finite size counts as 0, so non-finite entries fail."""
+    return eps * max(1.0, size) if np.isfinite(size) else eps
+
+
 def density_violations(m: np.ndarray) -> list:
     """The hermiticity, unit-trace and positivity violations of a density
     matrix m, or the largest over a stack of them (of any length)."""
@@ -608,14 +612,16 @@ def trace_violations(t: np.ndarray) -> list:
 def validate(obj):
     """Check all type invariants; return a list of Violation diagnostics.
 
-    Empty list means the object is valid within the EPS_* tolerances. A
+    Empty list means the object is valid within the EPS_* tolerances: an
+    operator's asymmetry relative to max |H|, a derivative map's residuals
+    to sum_p |A_p|_F |B_p|_F (each floored at 1), the rest absolute. A
     non-finite residual (NaN or infinite entries) counts as a violation;
     numpy's warnings on computing it are silenced.
     """
     if isinstance(obj, DensityMatrix):
         return density_violations(obj.matrix)
     if isinstance(obj, HermitianOperator):
-        return _over("operator hermiticity", obj.herm_residual(), EPS_HERM)
+        return _over("operator hermiticity", obj.herm_residual(), _relative(EPS_HERM, max_abs(obj.matrix)))
     if isinstance(obj, PureState):
         return _over("state normalisation", abs(float(np.linalg.norm(obj.amplitudes)) - 1.0), EPS_NORM)
     if isinstance(obj, QuantumChannel):
@@ -635,8 +641,10 @@ def validate(obj):
         return out + _over("POVM completeness", max_abs(s.sum(axis=0) - np.eye(obj.dim)), EPS_TP)
     if isinstance(obj, DerivativeChannel):
         herm, trace = _derivative_residuals(*obj.stack)
-        return (_over("derivative channel hermiticity preservation", herm, EPS_DERIVATIVE)
-                + _over("derivative channel trace annihilation", trace, EPS_DERIVATIVE))
+        norms = np.linalg.norm(obj.stack, axis=(-2, -1))
+        eps = _relative(EPS_DERIVATIVE, float(norms[0] @ norms[1]))
+        return (_over("derivative channel hermiticity preservation", herm, eps)
+                + _over("derivative channel trace annihilation", trace, eps))
     raise TypeError(f"validate: unsupported type {type(obj).__name__}")
 
 

@@ -124,10 +124,6 @@ def decode_matrix(rows, what="matrix"):
     return _array(rows, what, 2)
 
 
-def decode_vector(entries, what="vector"):
-    return _array(entries, what, 1)
-
-
 def encode_array(a) -> list:
     """Nested [re, im] pairs of a complex array."""
     return np.stack((a.real, a.imag), -1).tolist()
@@ -288,7 +284,7 @@ def _parse_problem(text: str | bytes) -> ProblemFile:
 
     input_state = None
     if "input_state" in doc:
-        input_state = PureState(decode_vector(doc["input_state"], "input_state"))
+        input_state = PureState(_array(doc["input_state"], "input_state", 1))
         if input_state.dim != dim:
             raise ValidationError(f"input_state has dim {input_state.dim}, declared dim is {dim}")
         require_valid(input_state, "input_state")

@@ -13,7 +13,6 @@ from qfimax import (
     basis_povm,
     channel_apply,
     classical_fi,
-    dephasing_channel,
     identity_channel,
     optimal_d,
     optimize_fixed_measurement,

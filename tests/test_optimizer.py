@@ -403,20 +403,21 @@ class TestOptimizeGeneral:
         assert optimize_general(ch, fd, cfg).f_star / c ** 2 == pytest.approx(ref, rel=1e-9)
 
     def test_non_hermitian_derivative_output_rejected(self):
-        # sigma -> A sigma B^dag is not Hermitian for a random pair A != B
+        # sigma -> A sigma B^dag is not Hermitian for a random pair A != B:
+        # the map is rejected at entry, before any step
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
+        with pytest.raises(ValidationError, match="derivative channel hermiticity preservation"):
             optimize_general(identity_channel(3), DerivativeChannel(((a, b),)), FAST)
         # nor is the finite difference above with a phase of 1e-6 on one pair:
-        # an asymmetry far below the output's size there, far above roundoff
+        # an asymmetry far below the size of its pairs, far above roundoff
         ch, fd, cfg = self._scaled_finite_difference(1e7)
         (a0, b0), *rest = fd.terms
-        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
+        with pytest.raises(ValidationError, match="derivative channel hermiticity preservation"):
             optimize_general(ch, DerivativeChannel((((1.0 + 1e-6j) * a0, b0), *rest)), cfg)
-        # a NaN output fails the check too, before it reaches the solve
+        # a NaN pair fails the check too, before it reaches the solve
         nan = np.diag([np.nan, 1.0, 1.0]).astype(complex)
-        with pytest.raises(NumericError, match="derivative channel output is not Hermitian"):
+        with pytest.raises(ValidationError, match="derivative channel hermiticity preservation"):
             optimize_general(identity_channel(3), DerivativeChannel(((nan, 2.0 * np.eye(3)),)), FAST)
 
     def test_finite_difference_family_matches_oracle(self):
@@ -482,11 +483,11 @@ class TestKrausAlignedDerivative:
         assert reports[0] == reports[1]
 
     def test_lone_kraus_aligned_pair_rejected(self):
-        # (A, K_0) without its mirror stays a sandwich and fails the output check
+        # (A, K_0) without its mirror does not preserve Hermiticity: rejected at entry
         rng = np.random.default_rng(23)
         ch = random_channel(3, rng, n_kraus=2)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        with pytest.raises(NumericError, match="not Hermitian"):
+        with pytest.raises(ValidationError, match="derivative channel hermiticity preservation"):
             optimize_general(ch, DerivativeChannel(((a, ch.kraus[0]),)), FAST)
 
     @pytest.mark.parametrize("d, r", [(4, 4), (6, 2)])

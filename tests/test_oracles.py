@@ -25,7 +25,6 @@ from qfimax import (
     pauli_basis_povm,
     qfi,
     sld,
-    unitary_channel,
 )
 from qfimax import oracles
 from qfimax.operators import SIGMA_Z, _wrap, haar_state, kraus_images, mixture
